@@ -28,10 +28,10 @@ Pure stdlib ``ast`` — no third-party dependency.  Rules:
     (``MemoryError``) makes ``except`` sites ambiguous.
 ``backend-hygiene``
     sim-core imports of the fast/compiled backend twins
-    (``repro.runtime.dispatch``, ``repro.heap.soa``,
-    ``FastExecutionContext``) outside the sanctioned entry points; the
-    three-way switch in :mod:`repro.fastpath` is how backends are
-    selected, and direct twin imports silently pin one backend.
+    (``repro.heap.soa``, ``FastExecutionContext``) outside the
+    sanctioned entry points; the three-way switch in
+    :mod:`repro.fastpath` is how backends are selected, and direct twin
+    imports silently pin one backend.
 
 Waive a finding on its line with ``# rolp-lint: allow[rule]`` (or
 ``allow[*]``).  Exit status: 0 clean, 1 findings, 2 usage/parse errors.
@@ -89,7 +89,7 @@ BUILTIN_NAMES = frozenset(
 
 #: Modules that ARE optimised backend twins: importing them couples the
 #: importer to one backend behind the three-way switch's back.
-BACKEND_TWIN_MODULES = frozenset({"repro.runtime.dispatch", "repro.heap.soa"})
+BACKEND_TWIN_MODULES = frozenset({"repro.heap.soa"})
 
 #: Twin symbols living inside otherwise-generic modules.
 BACKEND_TWIN_SYMBOLS: Dict[str, frozenset] = {
@@ -103,7 +103,6 @@ BACKEND_SANCTIONED = frozenset(
     {
         ("fastpath.py",),
         ("runtime", "vm.py"),
-        ("runtime", "dispatch.py"),
         ("runtime", "interpreter.py"),
         ("heap", "soa.py"),
     }

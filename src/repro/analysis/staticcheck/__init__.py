@@ -1,21 +1,14 @@
-"""Static program verifier + ahead-of-time context-conflict analyzer.
+"""Ahead-of-time context-conflict analyzer.
 
-Two cooperating passes over the compiled tier's IR (see
-``docs/static-analysis.md``):
+:mod:`repro.analysis.staticcheck.contexts` builds a static call graph
+over workload method bodies, symbolically executes the 32-bit context
+encoding and predicts a collision class per allocation site,
+cross-validated against the runtime profiler's observed conflicts
+stream (see ``docs/static-analysis.md``).
 
-* :mod:`repro.analysis.staticcheck.verifier` — an abstract interpreter
-  over :class:`~repro.runtime.program.MethodProgram` op arrays proving
-  structural invariants before execution (stable
-  ``InvariantViolation`` rule ids, ``program/*``);
-* :mod:`repro.analysis.staticcheck.contexts` — a static call-graph
-  analysis that symbolically executes the 32-bit context encoding and
-  predicts collision classes per allocation site, cross-validated
-  against the runtime profiler's observed conflicts stream.
-
-Entry points: ``rolp-bench staticcheck`` (CLI, exit 3 on verifier
-violation), the ``ROLP_STATIC_CHECK=1`` pre-execution gate
-(:func:`check_method`, invoked from ``vm.run``), and the fuzz harness's
-static conflict predictor (:func:`static_conflict_pressure`).
+Entry points: ``rolp-bench staticcheck`` (CLI, report in
+:mod:`repro.analysis.staticcheck.report`) and the fuzz harness's static
+conflict predictor (:func:`static_conflict_pressure`).
 """
 
 from repro.analysis.staticcheck.contexts import (
@@ -34,50 +27,26 @@ from repro.analysis.staticcheck.contexts import (
 from repro.analysis.staticcheck.report import (
     SCHEMA,
     build_workload,
-    check_method,
-    check_shipped_programs,
     check_workload,
     render_report,
-    report_violation_rules,
     run_staticcheck,
-)
-from repro.analysis.staticcheck.verifier import (
-    PROBE_FACTORS,
-    PROBE_TAXES,
-    VERIFIER_RULES,
-    collect_violations,
-    program_callees,
-    symbolic_tick_sum,
-    verify_call_tree,
-    verify_program,
 )
 
 __all__ = [
     "CONFLICT_HEAVY_MIN",
     "PATH_CAP",
-    "PROBE_FACTORS",
-    "PROBE_TAXES",
     "SCHEMA",
-    "VERIFIER_RULES",
     "WorkloadAnalysis",
     "analyze_genome",
     "analyze_workload",
     "build_workload",
-    "check_method",
-    "check_shipped_programs",
     "check_workload",
     "collect_methods",
-    "collect_violations",
     "method_shape",
     "observed_conflict_site_ids",
     "observed_conflicts",
-    "program_callees",
     "render_report",
-    "report_violation_rules",
     "run_staticcheck",
     "static_conflict_pressure",
-    "symbolic_tick_sum",
     "validate_against_runtime",
-    "verify_call_tree",
-    "verify_program",
 ]

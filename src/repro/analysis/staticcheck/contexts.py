@@ -14,8 +14,7 @@ facts make collisions statically predictable:
   allocation's lifetime to vary at all.
 
 So the analyzer builds the static call graph over ``Method`` bodies
-(``MethodProgram`` ops, ``lower_callable`` fallbacks, and an AST walk
-for everything the lowerer rejects), counts acyclic call paths per
+(an AST walk of each body's source), counts acyclic call paths per
 method (bounded at the 16-bit context width), classifies each
 allocation site's lifetime source, and emits one predicted **collision
 class** per site:
@@ -47,14 +46,6 @@ import textwrap
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.runtime.method import Method
-from repro.runtime.program import (
-    OP_ALLOC,
-    OP_ALLOC_T,
-    OP_CALL,
-    LoweringDiagnostics,
-    MethodProgram,
-    lower_callable,
-)
 
 #: path counts saturate at the 16-bit context width: beyond it the
 #: encoding space itself is exhausted, finer counting is meaningless
@@ -114,7 +105,7 @@ class ShapeAlloc:
 class MethodShape:
     """The analyzable skeleton of one method body."""
 
-    __slots__ = ("method", "calls", "allocs", "opaque", "unknown_calls", "source")
+    __slots__ = ("method", "calls", "allocs", "opaque", "unknown_calls")
 
     def __init__(self, method: Method) -> None:
         self.method = method
@@ -122,7 +113,6 @@ class MethodShape:
         self.allocs: List[ShapeAlloc] = []
         self.opaque = False          # body unreadable: wildcard alloc assumed
         self.unknown_calls = 0       # call targets the resolver gave up on
-        self.source = "ast"          # "program" | "lowered" | "ast" | "opaque"
 
 
 # ------------------------------------------------------------ method discovery
@@ -154,42 +144,6 @@ def collect_methods(workload) -> List[Method]:
 
 
 # ------------------------------------------------------------ shape extraction
-
-def method_shape(
-    method: Method, diagnostics: Optional[LoweringDiagnostics] = None
-) -> MethodShape:
-    body = method.body
-    if isinstance(body, MethodProgram):
-        return _shape_from_program(method, body, "program")
-    program = lower_callable(body, diagnostics=diagnostics)
-    if program is not None:
-        return _shape_from_program(method, program, "lowered")
-    return _shape_from_ast(method)
-
-
-def _shape_from_program(
-    method: Method, program: MethodProgram, source: str
-) -> MethodShape:
-    shape = MethodShape(method)
-    shape.source = source
-    for pc, op in enumerate(program.ops):
-        a, b = program.a[pc], program.b[pc]
-        if op == OP_CALL and isinstance(b, Method):
-            shape.calls.append(ShapeCall(a, (b,)))
-        elif op == OP_ALLOC:
-            lives = b[1] if isinstance(b, tuple) and len(b) == 2 else None
-            shape.allocs.append(
-                ShapeAlloc(a, "const" if lives is not None else "external")
-            )
-        elif op == OP_ALLOC_T:
-            bci_mod, _sizes, lives = a
-            varying = lives is not None and len(set(lives)) > 1
-            for bci in range(bci_mod):
-                shape.allocs.append(
-                    ShapeAlloc(bci, "varying" if varying else "const")
-                )
-    return shape
-
 
 def _binding_key(value: Any) -> Any:
     """A deterministic identity for a resolved constant call argument."""
@@ -291,7 +245,9 @@ class _BodyResolver:
         return _UNKNOWN
 
 
-def _shape_from_ast(method: Method) -> MethodShape:
+def method_shape(method: Method) -> MethodShape:
+    """The call and allocation skeleton of ``method``'s body, read from
+    the body's source AST (nothing is executed)."""
     shape = MethodShape(method)
     fn = method.body
     try:
@@ -299,7 +255,6 @@ def _shape_from_ast(method: Method) -> MethodShape:
         tree = ast.parse(source)
     except (OSError, TypeError, SyntaxError, IndentationError):
         shape.opaque = True
-        shape.source = "opaque"
         # unreadable body: assume it may allocate anywhere with an
         # unknown lifetime (wildcard keeps the superset guarantee)
         shape.allocs.append(ShapeAlloc(None, "opaque"))
@@ -309,7 +264,6 @@ def _shape_from_ast(method: Method) -> MethodShape:
     )
     if func is None or not func.args.args:
         shape.opaque = True
-        shape.source = "opaque"
         shape.allocs.append(ShapeAlloc(None, "opaque"))
         return shape
 
@@ -506,11 +460,9 @@ class WorkloadAnalysis:
 
     def __init__(self, workload) -> None:
         self.workload = workload
-        self.diagnostics = LoweringDiagnostics()
         self.methods = collect_methods(workload)
         self.shapes: Dict[int, MethodShape] = {
-            id(method): method_shape(method, self.diagnostics)
-            for method in self.methods
+            id(method): method_shape(method) for method in self.methods
         }
         self.paths, self.bindings, self.bounded = path_counts(self.shapes)
         self.sites: List[Dict[str, Any]] = []

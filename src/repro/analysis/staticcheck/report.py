@@ -1,50 +1,37 @@
-"""``rolp-bench staticcheck``: run both passes, emit the report.
+"""``rolp-bench staticcheck``: run the conflict analyzer, emit the report.
 
-Report schema: ``rolp-bench/staticcheck/v1`` —
+Report schema: ``rolp-bench/staticcheck/v2`` —
 
 .. code-block:: none
 
     {
-      "schema": "rolp-bench/staticcheck/v1",
+      "schema": "rolp-bench/staticcheck/v2",
       "workloads": [
-        {"name", "methods", "programs_checked", "verifier_findings": [...],
-         "lowering": {"opaque_bodies", "reasons": {reason: count}},
+        {"name", "methods",
          "collision_classes": {"structural", "value-dependent", "clean"},
          "predicted_conflict_sites", "context_space_total",
          "paths_bounded", "unknown_call_targets", "sites": [...]}
       ],
       "corpus": [
         {"file", "rule_id", "check", "conflict_pressure",
-         "structural_sites", "oscillating_sites", "conflict_heavy",
-         "verifier_findings"}
+         "structural_sites", "oscillating_sites", "conflict_heavy"}
       ],
-      "totals": {"workloads", "methods", "programs_checked",
-                 "verifier_findings", "predicted_conflict_sites",
+      "totals": {"workloads", "methods", "predicted_conflict_sites",
                  "conflict_heavy_genomes"}
     }
-
-``rolp-bench staticcheck`` exits 0 when every shipped program verifies
-clean, 3 (the invariant-violation exit code) when any verifier rule
-fires.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.analysis.staticcheck.contexts import (
     WorkloadAnalysis,
     analyze_genome,
     analyze_workload,
 )
-from repro.analysis.staticcheck.verifier import (
-    verify_call_tree,
-    verify_program,
-)
-from repro.analysis.violations import InvariantViolation
-from repro.runtime.program import LoweringDiagnostics, MethodProgram, lower_callable
 
-SCHEMA = "rolp-bench/staticcheck/v1"
+SCHEMA = "rolp-bench/staticcheck/v2"
 
 #: cap on per-workload site listings in the report (totals stay exact)
 MAX_REPORT_SITES = 200
@@ -68,65 +55,15 @@ def build_workload(name: str, seed: Optional[int] = None):
     return workload, vm
 
 
-def workload_programs(
-    workload, diagnostics: Optional[LoweringDiagnostics] = None
-) -> List[Tuple[MethodProgram, str]]:
-    """Every method body expressible as a program, with its name."""
-    from repro.analysis.staticcheck.contexts import collect_methods
-
-    programs: List[Tuple[MethodProgram, str]] = []
-    for method in collect_methods(workload):
-        body = method.body
-        program = (
-            body
-            if isinstance(body, MethodProgram)
-            else lower_callable(body, diagnostics=diagnostics)
-        )
-        if program is not None:
-            programs.append((program, method.qualified_name))
-    return programs
-
-
-def _verify_workload_programs(
-    programs: List[Tuple[MethodProgram, str]],
-) -> List[Dict[str, Any]]:
-    """Verify each program standalone, then its call tree (cycle
-    detection); one finding per program, as dicts."""
-    findings: List[Dict[str, Any]] = []
-    for program, name in programs:
-        try:
-            verify_program(program, name=name)
-            verify_call_tree(program, name=name)
-        except InvariantViolation as violation:
-            entry = violation.as_dict()
-            entry["program"] = name
-            findings.append(entry)
-    return findings
-
-
 def check_workload(name: str, seed: Optional[int] = None) -> Dict[str, Any]:
-    """Both passes over one registered workload."""
+    """The conflict analysis of one registered workload."""
     workload, _vm = build_workload(name, seed=seed)
     analysis: WorkloadAnalysis = analyze_workload(workload)
-    program_diag = LoweringDiagnostics()
-    programs = workload_programs(workload, program_diag)
-    findings = _verify_workload_programs(programs)
-
-    reasons = program_diag.reasons()
-
-    counts = analysis.counts()
-    predicted = analysis.predicted_conflict_sites()
     return {
         "name": name,
         "methods": len(analysis.methods),
-        "programs_checked": len(programs),
-        "verifier_findings": findings,
-        "lowering": {
-            "opaque_bodies": len(analysis.methods) - len(programs),
-            "reasons": reasons,
-        },
-        "collision_classes": counts,
-        "predicted_conflict_sites": len(predicted),
+        "collision_classes": analysis.counts(),
+        "predicted_conflict_sites": len(analysis.predicted_conflict_sites()),
         "context_space_total": analysis.context_space_total(),
         "paths_bounded": analysis.bounded,
         "unknown_call_targets": analysis.unknown_calls,
@@ -152,39 +89,9 @@ def check_corpus(corpus_dir: str) -> List[Dict[str, Any]]:
                 "structural_sites": summary["structural_sites"],
                 "oscillating_sites": summary["oscillating_sites"],
                 "conflict_heavy": summary["conflict_heavy"],
-                "verifier_findings": [],
             }
         )
     return out
-
-
-def check_shipped_programs(seed: int = 0) -> Dict[str, Any]:
-    """Verify the perf kernels' :class:`MethodProgram` call trees — the
-    repo's shipped hand-authored op arrays."""
-    from repro.bench.perf import kernel_programs
-
-    findings: List[Dict[str, Any]] = []
-    roots: List[str] = []
-    checked = 0
-    for method, arity in kernel_programs(seed):
-        name = method.qualified_name
-        roots.append(name)
-        try:
-            verify_program(method.body, name=name, arity=arity)
-            tree = verify_call_tree(
-                method.body, name=name, arity=arity, assume_root=True
-            )
-            checked += tree["programs"]
-        except InvariantViolation as violation:
-            checked += 1
-            entry = violation.as_dict()
-            entry["program"] = name
-            findings.append(entry)
-    return {
-        "roots": roots,
-        "programs_checked": checked,
-        "verifier_findings": findings,
-    }
 
 
 def run_staticcheck(
@@ -198,7 +105,6 @@ def run_staticcheck(
 
     names = list(workloads) if workloads else all_workload_names()
     workload_entries = [check_workload(name, seed=seed) for name in names]
-    program_entry = check_shipped_programs()
     corpus_entries = check_corpus(
         corpus_dir if corpus_dir is not None else DEFAULT_CORPUS_DIR
     )
@@ -206,15 +112,6 @@ def run_staticcheck(
     totals = {
         "workloads": len(workload_entries),
         "methods": sum(entry["methods"] for entry in workload_entries),
-        "programs_checked": sum(
-            entry["programs_checked"] for entry in workload_entries
-        )
-        + program_entry["programs_checked"],
-        "verifier_findings": sum(
-            len(entry["verifier_findings"]) for entry in workload_entries
-        )
-        + len(program_entry["verifier_findings"])
-        + sum(len(entry["verifier_findings"]) for entry in corpus_entries),
         "predicted_conflict_sites": sum(
             entry["predicted_conflict_sites"] for entry in workload_entries
         ),
@@ -225,47 +122,25 @@ def run_staticcheck(
     return {
         "schema": SCHEMA,
         "workloads": workload_entries,
-        "programs": program_entry,
         "corpus": corpus_entries,
         "totals": totals,
     }
-
-
-def report_violation_rules(report: Dict[str, Any]) -> List[str]:
-    """Sorted distinct verifier rule ids in a staticcheck report (the
-    CLI exits 3 when this is non-empty)."""
-    rules = set()
-    for section in ("workloads", "corpus"):
-        for entry in report.get(section, []):
-            for finding in entry.get("verifier_findings", []):
-                rules.add(str(finding.get("rule")))
-    for finding in report.get("programs", {}).get("verifier_findings", []):
-        rules.add(str(finding.get("rule")))
-    return sorted(rules)
 
 
 def render_report(report: Dict[str, Any]) -> str:
     """Human-readable staticcheck summary."""
     totals = report["totals"]
     lines = [
-        "%d workload(s), %d method(s), %d program(s) verified, "
-        "%d verifier finding(s)"
-        % (
-            totals["workloads"],
-            totals["methods"],
-            totals["programs_checked"],
-            totals["verifier_findings"],
-        )
+        "%d workload(s), %d method(s)" % (totals["workloads"], totals["methods"])
     ]
     for entry in report["workloads"]:
         counts = entry["collision_classes"]
         lines.append(
-            "  %-14s methods=%-4d programs=%-3d conflict-sites=%-4d "
+            "  %-14s methods=%-4d conflict-sites=%-4d "
             "(structural=%d value-dependent=%d clean=%d)%s"
             % (
                 entry["name"],
                 entry["methods"],
-                entry["programs_checked"],
                 entry["predicted_conflict_sites"],
                 counts["structural"],
                 counts["value-dependent"],
@@ -273,40 +148,6 @@ def render_report(report: Dict[str, Any]) -> str:
                 " [BOUNDED]" if entry["paths_bounded"] else "",
             )
         )
-        for finding in entry["verifier_findings"]:
-            lines.append(
-                "    VIOLATION %s: %s" % (finding["rule"], finding["message"])
-            )
-        if entry["lowering"]["opaque_bodies"]:
-            lines.append(
-                "    %d opaque bod%s (%s)"
-                % (
-                    entry["lowering"]["opaque_bodies"],
-                    "y" if entry["lowering"]["opaque_bodies"] == 1 else "ies",
-                    ", ".join(
-                        "%s x%d" % (reason, count)
-                        for reason, count in sorted(
-                            entry["lowering"]["reasons"].items()
-                        )
-                    )
-                    or "no reasons recorded",
-                )
-            )
-    programs = report.get("programs")
-    if programs:
-        lines.append(
-            "shipped programs: %d verified from %d root(s) (%s), %d finding(s)"
-            % (
-                programs["programs_checked"],
-                len(programs["roots"]),
-                ", ".join(programs["roots"]),
-                len(programs["verifier_findings"]),
-            )
-        )
-        for finding in programs["verifier_findings"]:
-            lines.append(
-                "    VIOLATION %s: %s" % (finding["rule"], finding["message"])
-            )
     if report["corpus"]:
         lines.append(
             "corpus: %d genome(s), %d conflict-heavy"
@@ -322,32 +163,3 @@ def render_report(report: Dict[str, Any]) -> str:
                 )
             )
     return "\n".join(lines)
-
-
-# --------------------------------------------------------- pre-execution gate
-
-def check_method(vm, method, arity: int = 0) -> None:
-    """``ROLP_STATIC_CHECK=1`` gate body: verify the program call tree
-    rooted at ``method`` before the VM executes it.
-
-    Read-only by construction — ``MethodProgram`` bodies are verified
-    as-is (before the dispatch loop links them, so a malformed program
-    trips a rule id instead of crashing the linker); callable bodies
-    resolve through the dispatch memo (the same lowering the compiled
-    backend performs, so enabling the gate changes no lowering order).
-    The verifier touches no clock, RNG, or VM state.  Raises
-    :class:`InvariantViolation` (CLI exit 3) on the first violation.
-    """
-    body = method.body
-    if type(body) is MethodProgram:
-        program = body
-    else:
-        from repro.runtime.dispatch import _program_of
-
-        program = _program_of(vm, method)
-    if program is None:
-        return
-    verify_program(program, name=method.qualified_name, arity=arity)
-    verify_call_tree(
-        program, name=method.qualified_name, arity=arity, assume_root=True
-    )

@@ -313,10 +313,7 @@ def _run_experiments(
 
             report = staticcheck.run_staticcheck(workloads, corpus_dir=corpus_dir)
             payloads["staticcheck"] = report
-            print(
-                "[StaticCheck] program verifier + ahead-of-time "
-                "context-conflict analyzer"
-            )
+            print("[StaticCheck] ahead-of-time context-conflict analyzer")
             print(staticcheck.render_report(report))
 
 
@@ -688,8 +685,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return 3
     if "staticcheck" in payloads:
-        from repro.analysis.staticcheck import report_violation_rules
-
         static_out = (
             args.report_out
             if args.report_out != "pause_report.json"
@@ -697,14 +692,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         artifacts.write_json(static_out, payloads["staticcheck"])
         print("staticcheck report written to %s" % static_out)
-        violation_rules = report_violation_rules(payloads["staticcheck"])
-        if violation_rules:
-            print(
-                "rolp-bench: staticcheck verifier violations: %s"
-                % ", ".join(violation_rules),
-                file=sys.stderr,
-            )
-            return 3
     if args.metrics_out:
         artifacts.write_json(
             args.metrics_out,

@@ -11,12 +11,6 @@ differential test: every cell returns a *fingerprint* of the
 simulation's observable state (counters, clocks, table checksums), and
 all backends must produce byte-identical fingerprints.
 
-The workload bodies are authored as :class:`MethodProgram` op arrays,
-so the reference and fast backends replay them through the ordinary
-``ctx.*`` entry points while the compiled backend executes them in the
-table-dispatch loop (:mod:`repro.runtime.dispatch`) — same op stream,
-three execution strategies.
-
 Timing cells are deliberately **never cached**: a wall-clock measurement
 replayed from a previous run's cache entry is not a measurement.  The
 backend still participates in the shared result-cache key (see
@@ -63,7 +57,6 @@ from repro.heap.object_model import IMMORTAL, SimObject
 from repro.heap.soa import HAVE_NUMPY
 from repro.metrics.report import render_table
 from repro.runtime.method import Method
-from repro.runtime.program import ProgramBuilder
 from repro.runtime.vm import JavaVM, VMFlags
 
 try:  # pragma: no cover - numpy is part of the baked toolchain
@@ -114,78 +107,15 @@ def _table_checksum(table) -> int:
 # observable the optimisations could have perturbed: clock totals
 # (float repr — bit equality, not tolerance), RNG-dependent counters,
 # table contents, stack states.  The ambient backend (set by
-# :func:`run_kernel` before fixture construction) selects the execution
-# strategy; the op stream is identical under all of them.
+# :func:`run_kernel` before fixture construction) selects the
+# implementation; the op stream is identical under all of them.
 
 KernelRun = Callable[[], Tuple[int, Dict[str, object]]]
 
 
-def _alloc_loop_method(sizes: List[int], lives: List[int]) -> Method:
-    # body(ctx, start, count): for i in range(count): j = start + i;
-    # ctx.alloc(j % 7, sizes[j % 997], lives[j % 991])
-    builder = ProgramBuilder("allocLoop", nregs=2)
-    builder.repeat(1, 0)
-    builder.alloc_table(7, sizes, lives, 0)
-    builder.end_repeat()
-    return Method("allocLoop", "bench.perf.Alloc", builder.build(), bytecode_size=120)
-
-
-def _call_tree_methods() -> Tuple[Method, Method, Method, Method]:
-    # bytecode_size > inline_max_size keeps every site out of inlining,
-    # so each carries a real stack-state increment once jitted
-    leaf_a = Method(
-        "leafA", "bench.perf.Call", ProgramBuilder("leafA").build(), bytecode_size=100
-    )
-    leaf_b = Method(
-        "leafB", "bench.perf.Call", ProgramBuilder("leafB").build(), bytecode_size=100
-    )
-    mid = Method(
-        "mid",
-        "bench.perf.Call",
-        ProgramBuilder("mid").call(1, leaf_a).call(2, leaf_b).build(),
-        bytecode_size=100,
-    )
-    # root(ctx, count): for _ in range(count): ctx.call(1, mid); ctx.call(2, mid)
-    root_builder = ProgramBuilder("root", nregs=2)
-    root_builder.repeat(0, 1)
-    root_builder.call(1, mid)
-    root_builder.call(2, mid)
-    root_builder.end_repeat()
-    root = Method("root", "bench.perf.Call", root_builder.build(), bytecode_size=100)
-    return root, mid, leaf_a, leaf_b
-
-
-def _copy_fill_method(sizes: List[int]) -> Method:
-    # fill(ctx, start, count): immortal allocs — survive every GC
-    builder = ProgramBuilder("fill", nregs=2)
-    builder.repeat(1, 0)
-    builder.alloc_table(5, sizes, None, 0)
-    builder.end_repeat()
-    return Method("fill", "bench.perf.Copy", builder.build(), bytecode_size=120)
-
-
-def kernel_programs(seed: int = 0) -> List[Tuple[Method, int]]:
-    """The shipped perf-kernel root methods and their root arities.
-
-    ``rolp-bench staticcheck`` verifies every :class:`MethodProgram`
-    reachable from these roots; the kernels themselves build identical
-    programs (same builders, same operand tables).
-    """
-    rng = random.Random(seed)
-    alloc_sizes = [rng.choice((64, 128, 192, 256, 384, 512)) for _ in range(997)]
-    alloc_lives = [rng.choice((5_000, 50_000, 500_000)) for _ in range(991)]
-    copy_sizes = [rng.choice((96, 128, 160, 192, 256)) for _ in range(997)]
-    return [
-        (_alloc_loop_method(alloc_sizes, alloc_lives), 2),
-        (_call_tree_methods()[0], 1),
-        (_copy_fill_method(copy_sizes), 2),
-    ]
-
-
 def _kernel_alloc(seed: int, ops: int) -> KernelRun:
-    """The allocation path: table-indexed ``ALLOC_T`` → context
-    resolution → sampling → collector placement → header install →
-    OLD-table increment."""
+    """The allocation path: ``ctx.alloc`` → context resolution → sampling
+    → collector placement → header install → OLD-table increment."""
     rng = random.Random(seed)
     sizes = [rng.choice((64, 128, 192, 256, 384, 512)) for _ in range(997)]
     lives = [rng.choice((5_000, 50_000, 500_000)) for _ in range(991)]
@@ -197,7 +127,12 @@ def _kernel_alloc(seed: int, ops: int) -> KernelRun:
     )
     thread = vm.spawn_thread("bench")
 
-    method = _alloc_loop_method(sizes, lives)
+    def body(ctx, start, count):
+        for i in range(count):
+            j = start + i
+            ctx.alloc(j % 7, sizes[j % 997], lives[j % 991])
+
+    method = Method("allocLoop", "bench.perf.Alloc", body, bytecode_size=120)
 
     def run() -> Tuple[int, Dict[str, object]]:
         done = 0
@@ -222,9 +157,7 @@ def _kernel_alloc(seed: int, ops: int) -> KernelRun:
 
 def _kernel_call(seed: int, ops: int) -> KernelRun:
     """Method entry/exit: call-site bookkeeping, the stack-state add/sub
-    slow path (mode ``slow``), frame push/pop, JIT invocation counting.
-    The compiled backend executes the whole four-level call tree in one
-    dispatch frame."""
+    slow path (mode ``slow``), frame push/pop, JIT invocation counting."""
     vm, _ = build_vm(
         "rolp",
         heap_mb=64,
@@ -233,7 +166,26 @@ def _kernel_call(seed: int, ops: int) -> KernelRun:
     )
     thread = vm.spawn_thread("bench")
 
-    root, mid, leaf_a, leaf_b = _call_tree_methods()
+    def leaf_body(ctx):
+        return None
+
+    # bytecode_size > inline_max_size keeps every site out of inlining,
+    # so each carries a real stack-state increment once jitted
+    leaf_a = Method("leafA", "bench.perf.Call", leaf_body, bytecode_size=100)
+    leaf_b = Method("leafB", "bench.perf.Call", leaf_body, bytecode_size=100)
+
+    def mid_body(ctx):
+        ctx.call(1, leaf_a)
+        ctx.call(2, leaf_b)
+
+    mid = Method("mid", "bench.perf.Call", mid_body, bytecode_size=100)
+
+    def root_body(ctx, count):
+        for _ in range(count):
+            ctx.call(1, mid)
+            ctx.call(2, mid)
+
+    root = Method("root", "bench.perf.Call", root_body, bytecode_size=100)
     # each root-body iteration performs 6 dynamic calls (2 mid + 4 leaf)
     iterations = max(1, ops // 6)
 
@@ -313,38 +265,13 @@ def _kernel_survivor(seed: int, ops: int) -> KernelRun:
 
 def _kernel_header(seed: int, ops: int) -> KernelRun:
     """Header bit manipulation: the age increment and fresh-header
-    construction the copy and allocation loops lean on.  The fast mode
-    times the optimised scalar functions, the reference mode their
-    ``*_reference`` twins, the compiled mode a vectorized column sweep;
-    the accumulator proves they all compute the same words."""
+    construction the copy and allocation loops lean on.  The optimised
+    backends time the scalar functions, the reference backend their
+    ``*_reference`` twins; the accumulator proves they compute the same
+    words."""
     rng = random.Random(seed)
     headers = [rng.getrandbits(64) for _ in range(4_096)]
     contexts = [rng.getrandbits(32) for _ in range(4_096)]
-    if backend() == "compiled" and HAVE_NUMPY:
-        header_col = _np.array(headers, dtype=_np.uint64)
-        context_col = _np.array(contexts, dtype=_np.uint64)
-        age_mask = _np.uint64(hdr.AGE_MASK)
-        age_one = _np.uint64(1 << hdr.AGE_SHIFT)
-
-        def run() -> Tuple[int, Dict[str, object]]:
-            # per-op term: increment_age(headers[j]) + fresh_header(contexts[j]);
-            # modular addition is associative, so the checksum over `ops`
-            # wrap-around passes is full_passes * column_sum + partial_sum
-            aged = _np.where(
-                (header_col & age_mask) != age_mask, header_col + age_one, header_col
-            )
-            fresh = (context_col & _np.uint64(hdr.MASK_32)) << _np.uint64(
-                hdr.CONTEXT_SHIFT
-            )
-            terms = aged + fresh  # uint64: wraps mod 2**64 like the scalar loop
-            full_passes, remainder = divmod(ops, len(headers))
-            accumulator = (
-                full_passes * int(terms.sum(dtype=_np.uint64))
-                + int(terms[:remainder].sum(dtype=_np.uint64))
-            ) & hdr.MASK_64
-            return ops, {"checksum": accumulator}
-
-        return run
     if backend() == "reference":
         increment, fresh = hdr.increment_age_reference, hdr.fresh_header_reference
     else:
@@ -378,7 +305,12 @@ def _kernel_gc_copy(seed: int, ops: int) -> KernelRun:
     thread = vm.spawn_thread("bench")
     sizes = [rng.choice((96, 128, 160, 192, 256)) for _ in range(997)]
 
-    method = _copy_fill_method(sizes)
+    def body(ctx, start, count):
+        for i in range(count):
+            j = start + i
+            ctx.alloc(j % 5, sizes[j % 997])  # immortal: survives every GC
+
+    method = Method("fill", "bench.perf.Copy", body, bytecode_size=120)
     live_objects = 16_000
     done = 0
     while done < live_objects:

@@ -11,25 +11,20 @@ without moving any rendered figure or table.
 Three backends exist:
 
 * ``"reference"`` — the original, maximally readable implementations;
-* ``"fast"`` — the PR 4 inlined twins (``FastExecutionContext``,
-  batched survivor profiling, O(1) heap counters, ...);
-* ``"compiled"`` — the fast paths plus the table-dispatch interpreter
-  for :class:`~repro.runtime.program.MethodProgram` bodies and the
-  array-of-structs heap hot state (:mod:`repro.heap.soa`).
+* ``"fast"`` — the inlined twins (``FastExecutionContext``, batched
+  survivor profiling, O(1) heap counters, ...);
+* ``"compiled"`` — the fast paths plus the column-stored ("SoA") heap
+  hot state for the young-GC sweeps (:mod:`repro.heap.soa`).
 
 Semantics:
 
 * ``ROLP_BACKEND=reference|fast|compiled`` selects the backend for the
-  whole process; when unset, ``ROLP_FAST_PATHS=0`` selects
-  ``"reference"`` and anything else (or unset) selects ``"fast"``.
+  whole process; unset, it is ``"fast"``.
 * :func:`set_backend` flips the process-wide default at runtime and
   returns the previous value; only components constructed *after* the
   flip observe it (VMs, profilers, collectors and OLD tables capture
   the switch in ``__init__``), which keeps a running simulation on one
   consistent implementation.
-* :func:`set_fast_paths` is the pre-backend boolean API, kept so the
-  PR 4 call sites and tests keep working: ``True`` maps to ``"fast"``,
-  ``False`` to ``"reference"``.
 """
 
 from __future__ import annotations
@@ -41,21 +36,16 @@ BACKENDS = ("reference", "fast", "compiled")
 
 
 def _initial_backend() -> str:
-    name = os.environ.get("ROLP_BACKEND")
-    if name:
-        if name not in BACKENDS:
-            raise ValueError(
-                "ROLP_BACKEND=%r is not one of %s" % (name, ", ".join(BACKENDS))
-            )
-        return name
-    return "reference" if os.environ.get("ROLP_FAST_PATHS", "1") == "0" else "fast"
+    name = os.environ.get("ROLP_BACKEND") or "fast"
+    if name not in BACKENDS:
+        raise ValueError(
+            "ROLP_BACKEND=%r is not one of %s" % (name, ", ".join(BACKENDS))
+        )
+    return name
 
 
 #: process-wide default, captured by components at construction time
 BACKEND: str = _initial_backend()
-
-#: boolean mirror of ``BACKEND != "reference"`` kept for the PR 4 API
-ENABLED: bool = BACKEND != "reference"
 
 
 def backend() -> str:
@@ -71,51 +61,12 @@ def set_backend(name: str) -> str:
     """
     if name not in BACKENDS:
         raise ValueError("unknown backend %r (expected one of %s)" % (name, BACKENDS))
-    global BACKEND, ENABLED
+    global BACKEND
     previous = BACKEND
     BACKEND = name
-    ENABLED = name != "reference"
     return previous
-
-
-def compiled_enabled() -> bool:
-    """Whether the table-dispatch/SoA backend is selected."""
-    return BACKEND == "compiled"
 
 
 def fast_paths_enabled() -> bool:
     """Whether any optimised backend is selected (fast or compiled)."""
-    return ENABLED
-
-
-def set_fast_paths(enabled: bool) -> bool:
-    """Boolean pre-backend API: ``True`` selects ``"fast"``, ``False``
-    selects ``"reference"``.  Returns the previous boolean state.
-    """
-    previous = ENABLED
-    set_backend("fast" if enabled else "reference")
-    return previous
-
-
-#: opt-in pre-execution static verification gate (``ROLP_STATIC_CHECK=1``):
-#: VMs snapshot this at construction and verify each root method's
-#: program call tree before its first execution.  The gate is read-only
-#: (see repro.analysis.staticcheck), so enabled runs are byte-identical
-#: to unchecked runs; disabled, the only cost is one attribute test per
-#: root invocation (null-hook pattern).
-STATIC_CHECK: bool = os.environ.get("ROLP_STATIC_CHECK", "") == "1"
-
-
-def static_check_enabled() -> bool:
-    """Whether the pre-execution static verification gate is on."""
-    return STATIC_CHECK
-
-
-def set_static_check(enabled: bool) -> bool:
-    """Toggle the static-check gate; returns the previous value.  Like
-    :func:`set_backend`, only VMs constructed after the flip observe it.
-    """
-    global STATIC_CHECK
-    previous = STATIC_CHECK
-    STATIC_CHECK = bool(enabled)
-    return previous
+    return BACKEND != "reference"

@@ -175,11 +175,10 @@ class Method:
 #
 # The single source of truth for first-execution site creation.  Every
 # execution backend (reference via Method.call_site/alloc_site, the
-# inlined FastExecutionContext bodies, the table-dispatch interpreter's
-# per-op site caches) resolves sites through these, so the creation
-# semantics — and, critically, the site *insertion order*, which fixes
-# the JIT's site-id and increment-RNG assignment order — cannot drift
-# between backends.  Module-level functions keep the hot call one plain
+# inlined FastExecutionContext bodies) resolves sites through these, so
+# the creation semantics — and, critically, the site *insertion order*,
+# which fixes the JIT's site-id and increment-RNG assignment order —
+# cannot drift between backends.  Module-level functions keep the hot call one plain
 # LOAD_GLOBAL away instead of a bound-method construction.
 
 def alloc_site_of(method: "Method", bci: int) -> AllocSite:

@@ -11,18 +11,16 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis import VERIFY_LEVELS, default_verify_level, make_verifier
-from repro.fastpath import backend, fast_paths_enabled, static_check_enabled
+from repro.fastpath import fast_paths_enabled
 from repro.heap.header import install_context
 from repro.heap.object_model import IMMORTAL, SimObject
 from repro.runtime.biased_lock import BiasedLockManager
 from repro.runtime.clock import SimClock
-from repro.runtime.dispatch import CompiledExecutionContext
 from repro.runtime.exceptions import SimException
 from repro.runtime.hooks import NullProfiler
 from repro.runtime.interpreter import ExecutionContext, FastExecutionContext
 from repro.runtime.jit import JitCompiler
 from repro.runtime.method import AllocSite, CallSite, Method
-from repro.runtime.program import LoweringDiagnostics
 from repro.runtime.thread import SimThread
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -109,12 +107,6 @@ class JavaVM:
         self._m_profiling_tax = metrics.counter(
             "vm_profiling_tax_ns_total", "Mutator nanoseconds spent in profiling code"
         )
-        self._m_lowering_failures = metrics.counter(
-            "vm_lowering_failures_total",
-            "Method bodies that failed lowering to a MethodProgram, by reason",
-        )
-        #: why each callable body stayed opaque to the compiled tier
-        self.lowering_diagnostics = LoweringDiagnostics()
         self.jit = JitCompiler(
             compile_threshold=self.flags.compile_threshold,
             inline_max_size=self.flags.inline_max_size,
@@ -133,30 +125,14 @@ class JavaVM:
         self.bytes_allocated = 0
         #: mutator nanoseconds spent purely on profiling code
         self.profiling_tax_ns = 0.0
-        #: construction-time snapshot of the execution backend
-        self.backend = backend()
-        #: boolean mirror kept for the pre-backend API and fast twins
+        #: whether an optimised backend (fast or compiled) was selected;
+        #: both run method bodies through the inlined context twin
         self.fast_paths = fast_paths_enabled()
-        if self.backend == "compiled":
-            self._ctx_class = CompiledExecutionContext
-        elif self.fast_paths:
-            self._ctx_class = FastExecutionContext
-        else:
-            self._ctx_class = ExecutionContext
+        self._ctx_class = FastExecutionContext if self.fast_paths else ExecutionContext
         if self.fast_paths:
             # Instance attribute shadows the class method: callers keep
             # saying vm.allocate, dispatch picks the inlined body.
             self.allocate = self._allocate_fast  # type: ignore[method-assign]
-        #: per-method lowering results for the compiled backend
-        #: (Method -> MethodProgram or None; memoizes failures too).
-        #: Lives on the VM because run() builds a fresh context per root
-        #: call — a context-local cache would relower every operation.
-        self.method_programs: Dict[Method, object] = {}
-        #: construction-time snapshot of the ROLP_STATIC_CHECK gate; off
-        #: (the default) the only cost is one attribute test per root
-        #: invocation in run().
-        self.static_check = static_check_enabled()
-        self._static_checked: set = set()
         collector.attach_vm(self)
 
     # -- threads ------------------------------------------------------------------
@@ -175,34 +151,11 @@ class JavaVM:
 
         An exception that no frame handles terminates the operation
         (the thread's uncaught-exception boundary) and yields None.
-
-        With the ``ROLP_STATIC_CHECK=1`` gate on, the method's program
-        call tree is verified before its first execution; a verifier
-        :class:`~repro.analysis.violations.InvariantViolation`
-        propagates (it is not a simulated exception).
         """
-        if self.static_check:
-            self._static_check_root(method, len(args))
         try:
             return self.context(thread).call(0, method, *args, **kwargs)
         except SimException:
             return None
-
-    def _static_check_root(self, method: Method, nargs: int) -> None:
-        """Verify ``method``'s program call tree once (id-memoized).
-
-        Read-only: program resolution goes through the same dispatch
-        memo the compiled backend uses, so lowering order is identical
-        whether the gate is on or off, and the verifier touches no
-        clock, RNG, or heap state — checked runs are byte-identical.
-        """
-        key = id(method)
-        if key in self._static_checked:
-            return
-        self._static_checked.add(key)
-        from repro.analysis.staticcheck import check_method
-
-        check_method(self, method, arity=nargs)
 
     # -- time / cost accounting -----------------------------------------------------
 

@@ -65,7 +65,8 @@ class Workload:
     # -- helpers ------------------------------------------------------------------
 
     def make_thread(self, name: str) -> SimThread:
-        assert self.vm is not None, "build() must run first"
+        if self.vm is None:
+            raise RuntimeError("build() must run first")
         thread = self.vm.spawn_thread(name)
         self.threads.append(thread)
         return thread

@@ -19,9 +19,7 @@ from repro import fastpath
 #: the process-ambient switches tests are allowed to mutate
 _GUARDED_ENV = (
     "ROLP_BACKEND",
-    "ROLP_FAST_PATHS",
     "ROLP_FLIGHT_RECORDER",
-    "ROLP_STATIC_CHECK",
 )
 
 
@@ -31,7 +29,6 @@ def _rolp_switch_guard():
     module-global switches they seed, around every test."""
     saved_env = {name: os.environ.get(name) for name in _GUARDED_ENV}
     saved_backend = fastpath.backend()
-    saved_static = fastpath.static_check_enabled()
     try:
         yield
     finally:
@@ -41,4 +38,3 @@ def _rolp_switch_guard():
             else:
                 os.environ[name] = value
         fastpath.set_backend(saved_backend)
-        fastpath.set_static_check(saved_static)

@@ -4,15 +4,12 @@ rethrow hook), 16-bit stack-state wraparound under deeply instrumented
 call chains, the OSR corruption pulse, allocation outside any frame,
 and ``loop()`` clock accounting.
 
-Every test runs against all three execution backends (the reference
-:class:`ExecutionContext`, :class:`FastExecutionContext` and the
-table-dispatch :class:`CompiledExecutionContext`), selected the way
+Every test runs against all three execution backends, selected the way
 production selects them — via the process-global backend switch at VM
-construction.  The workload bodies are written in the straight-line
-shape :func:`~repro.runtime.program.lower_callable` accepts, so under
-the compiled backend they genuinely execute in the dispatch loop (a
-body that records observations through a closure stays a Python
-callable and exercises the mixed-tier fallback instead).
+construction.  The reference backend runs bodies through
+:class:`ExecutionContext`; ``fast`` and ``compiled`` (which adds only
+the column-stored GC sweeps) run them through
+:class:`FastExecutionContext`.
 """
 
 import pytest
@@ -21,9 +18,7 @@ from repro import build_vm
 from repro.fastpath import BACKENDS, set_backend
 from repro.heap.header import MASK_16
 from repro.runtime import Method, VMFlags
-from repro.runtime.dispatch import CompiledExecutionContext
 from repro.runtime.interpreter import ExecutionContext, FastExecutionContext
-from repro.runtime.program import ProgramBuilder
 
 
 @pytest.fixture(params=BACKENDS)
@@ -57,7 +52,7 @@ class TestContextSelection:
         expected = {
             "reference": ExecutionContext,
             "fast": FastExecutionContext,
-            "compiled": CompiledExecutionContext,
+            "compiled": FastExecutionContext,
         }[exec_backend]
         assert type(ctx) is expected
 
@@ -119,37 +114,6 @@ class TestExceptionUnwindThroughAlloc:
         assert thread.expected_stack_state() == 0
         assert thread.verify_and_repair() is True  # safepoint repairs it
         assert thread.stack_state == 0
-
-    @pytest.mark.parametrize("fix", [True, False], ids=["hook", "no-hook"])
-    def test_program_bodies_unwind_like_callables(self, exec_backend, fix):
-        """The same workload authored directly as MethodPrograms: the
-        unwind must cross *dispatch* frames under the compiled backend
-        and generic replay frames elsewhere, with identical balances."""
-        vm = make_vm(
-            VMFlags(call_profiling_mode="slow", fix_exception_unwind=fix)
-        )
-        thread = vm.spawn_thread()
-        inner = make_method(
-            "inner",
-            ProgramBuilder("inner")
-            .alloc(1, 128, 1_000)
-            .throw("post-alloc failure", 2)
-            .build(),
-        )
-        mid = make_method(
-            "mid", ProgramBuilder("mid").alloc(2, 64, 1_000).call(5, inner).build()
-        )
-        root = make_method("root", ProgramBuilder("root").call(7, mid).build())
-
-        vm.run(thread, root)
-        set_increment(root, 7, 0x0101)
-        set_increment(mid, 5, 0x0202)
-        vm.run(thread, root)
-
-        assert inner.alloc_sites[1].alloc_count == 2
-        assert vm.allocations == 4
-        assert thread.frames == []
-        assert thread.stack_state == (0 if fix else 0x0202 + 0x0101)
 
 
 class TestStackStateOverflow:

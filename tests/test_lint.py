@@ -212,7 +212,7 @@ class TestBuiltinShadowingRule:
 
 class TestBackendHygieneRule:
     def test_twin_module_import_fires(self):
-        assert rules_of("import repro.runtime.dispatch\n") == {"backend-hygiene"}
+        assert rules_of("import repro.heap.soa\n") == {"backend-hygiene"}
         assert rules_of("from repro.heap.soa import ObjectColumns\n") == {
             "backend-hygiene"
         }
@@ -226,7 +226,7 @@ class TestBackendHygieneRule:
         assert findings("from repro.runtime.interpreter import ExecutionContext\n") == []
 
     def test_sanctioned_entry_points_are_exempt(self):
-        src = "from repro.runtime.dispatch import CompiledExecutionContext\n"
+        src = "from repro.runtime.interpreter import FastExecutionContext\n"
         assert findings(src, "src/repro/runtime/vm.py") == []
         assert findings(src, "src/repro/fastpath.py") == []
 

@@ -1,439 +1,67 @@
-"""Planted-fault tests for the static program verifier (``staticcheck``).
+"""``rolp-bench staticcheck``: the conflict analyzer's report and CLI.
 
-Mirrors ``test_invariant_verifier.py``: each test hand-builds one
-malformed :class:`MethodProgram` and asserts the verifier fires with
-exactly the stable rule id the fault plants.  A verifier that only
-passes on healthy programs proves nothing.
-
-Also covers the ``ROLP_STATIC_CHECK=1`` pre-execution gate (read-only:
-checked runs must be byte-identical to unchecked runs), the
-``LoweringDiagnostics`` side-channel, and the ``rolp-bench
-staticcheck`` exit codes.
+The analyzer's soundness against the runtime profiler is pinned by
+``test_staticcheck_crossval.py``; these tests pin the report schema,
+the command line and the per-workload predictions.
 """
 
 import json
+import os
 
-import pytest
-
-from repro import build_vm
-from repro.analysis.staticcheck import (
-    PROBE_FACTORS,
-    PROBE_TAXES,
-    VERIFIER_RULES,
-    check_shipped_programs,
-    run_staticcheck,
-    symbolic_tick_sum,
-    verify_call_tree,
-    verify_program,
-)
-from repro.analysis.violations import InvariantViolation
+from repro.analysis.staticcheck import run_staticcheck
 from repro.bench import cli
-from repro.bench.workload_registry import (
-    EXTRA_WORKLOADS,
-    EXTRA_WORKLOAD_OPS,
-    register_workload,
-)
-from repro.fastpath import set_static_check
-from repro.runtime.method import Method
-from repro.runtime.program import (
-    OP_ALLOC,
-    OP_BIAS_LOCK,
-    OP_CALL,
-    OP_LOOP,
-    OP_REPEAT,
-    OP_THROW,
-    OP_WORK,
-    LoweringDiagnostics,
-    MethodProgram,
-    ProgramBuilder,
-    lower_callable,
-)
-from repro.workloads.base import Workload
 
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
-def expect_rule(rule, program, **kwargs):
-    with pytest.raises(InvariantViolation) as exc_info:
-        verify_program(program, **kwargs)
-    assert exc_info.value.rule == rule
-    return exc_info.value
-
-
-class TestPlantedFaults:
-    def test_unbalanced_repeat_body(self):
-        program = MethodProgram(
-            [OP_REPEAT, OP_WORK], [0, 10.0], [5, None], [1, -1], nregs=2
-        )
-        violation = expect_rule("program/repeat-nesting", program)
-        assert violation.details["pc"] == 0
-
-    def test_repeat_body_length_not_an_int(self):
-        program = MethodProgram([OP_REPEAT], [0], [None], [1], nregs=2)
-        expect_rule("program/repeat-nesting", program)
-
-    def test_bias_lock_use_before_def(self):
-        program = MethodProgram([OP_BIAS_LOCK], [None], [None], [0], nregs=1)
-        violation = expect_rule("program/register-use-before-def", program)
-        assert violation.details["register"] == 0
-
-    def test_bias_lock_after_alloc_passes(self):
-        program = MethodProgram(
-            [OP_ALLOC, OP_BIAS_LOCK],
-            [1, None],
-            [(64, 1000.0), None],
-            [0, 0],
-            nregs=1,
-        )
-        assert verify_program(program)["ops"] == 2
-
-    def test_arg_register_counts_as_defined_for_roots(self):
-        program = MethodProgram([OP_BIAS_LOCK], [None], [None], [0], nregs=1)
-        assert verify_program(program, arity=1)["nregs"] == 1
-        expect_rule("program/register-use-before-def", program, arity=0)
-
-    def test_repeat_body_defs_do_not_escape(self):
-        # the REPEAT body may run zero times, so its ALLOC does not
-        # define r0 for the BIAS_LOCK after the block
-        program = MethodProgram(
-            [OP_REPEAT, OP_ALLOC, OP_BIAS_LOCK],
-            [1, 1, None],
-            [1, (64, 1000.0), None],
-            [0, 0, 0],
-            nregs=2,
-        )
-        expect_rule("program/register-use-before-def", program)
-
-    def test_unreachable_op_after_throw(self):
-        program = MethodProgram(
-            [OP_THROW, OP_WORK], ["boom", 10.0], [1, None], [-1, -1]
-        )
-        violation = expect_rule("program/unreachable-op", program)
-        assert violation.details["thrown_at"] == 0
-
-    def test_throw_inside_repeat_does_not_poison_the_tail(self):
-        # the guarded THROW unwinds only some iterations' frames; the op
-        # after the REPEAT block is reachable when count == 0
-        program = MethodProgram(
-            [OP_REPEAT, OP_THROW, OP_WORK],
-            [0, "boom", 10.0],
-            [1, 1, None],
-            [1, -1, -1],
-            nregs=2,
-        )
-        assert verify_program(program)["ops"] == 3
-
-    def test_negative_throw_depth(self):
-        program = MethodProgram([OP_THROW], ["boom"], [-1], [-1])
-        expect_rule("program/throw-depth", program)
-
-    def test_negative_work_tick(self):
-        program = MethodProgram([OP_WORK], [-5.0], [None], [-1])
-        expect_rule("program/clock-accounting", program)
-
-    def test_nan_work_tick(self):
-        program = MethodProgram([OP_WORK], [float("nan")], [None], [-1])
-        expect_rule("program/clock-accounting", program)
-
-    def test_negative_loop_per_iteration_tick(self):
-        program = MethodProgram([OP_LOOP], [10], [-1.0], [-1])
-        expect_rule("program/clock-accounting", program)
-
-    def test_unknown_opcode(self):
-        program = MethodProgram([42], [None], [None], [-1])
-        expect_rule("program/operand-shape", program)
-
-    def test_register_index_out_of_range(self):
-        program = MethodProgram([OP_BIAS_LOCK], [None], [None], [7], nregs=1)
-        expect_rule("program/operand-shape", program)
-
-    def test_mutated_operand_arrays_lose_parallelism(self):
-        # the constructor enforces parallel lengths; the verifier must
-        # still catch a program corrupted after construction
-        program = MethodProgram([OP_WORK], [10.0], [None], [-1])
-        program.a = ()
-        expect_rule("program/operand-shape", program)
-
-    def test_alloc_bad_operand_tuple(self):
-        program = MethodProgram([OP_ALLOC], [1], [64], [-1])
-        expect_rule("program/operand-shape", program)
-
-    def test_call_target_not_a_method(self):
-        program = MethodProgram([OP_CALL], [1], ["not-a-method"], [-1])
-        expect_rule("program/operand-shape", program)
-
-
-class TestCallTreeRules:
-    @staticmethod
-    def mutually_recursive_methods():
-        stub = ProgramBuilder("stub").build()
-        m_b = Method("b", "cycle.Test", stub, bytecode_size=40)
-        prog_a = ProgramBuilder("a").call(1, m_b).build()
-        m_a = Method("a", "cycle.Test", prog_a, bytecode_size=40)
-        prog_b = ProgramBuilder("b").call(1, m_a).build()
-        m_b.body = prog_b
-        return m_a, m_b
-
-    def test_unconditional_call_cycle_is_stack_wrap(self):
-        m_a, _m_b = self.mutually_recursive_methods()
-        with pytest.raises(InvariantViolation) as exc_info:
-            verify_call_tree(m_a.body, name=m_a.qualified_name)
-        assert exc_info.value.rule == "program/stack-wrap"
-        assert "cycle.Test.a" in str(exc_info.value)
-
-    def test_repeat_guarded_recursion_is_exempt(self):
-        # recursion whose back edge sits inside a REPEAT body has a
-        # data-dependent iteration count: not statically unconditional
-        stub = ProgramBuilder("stub").build()
-        m_b = Method("b", "cycle.Guarded", stub, bytecode_size=40)
-        prog_a = ProgramBuilder("a").call(1, m_b).build()
-        m_a = Method("a", "cycle.Guarded", prog_a, bytecode_size=40)
-        builder = ProgramBuilder("b", nregs=2)
-        builder.repeat(0, 1)
-        builder.call(1, m_a)
-        builder.end_repeat()
-        m_b.body = builder.build()
-        summary = verify_call_tree(m_a.body, name=m_a.qualified_name)
-        assert summary["programs"] == 2
-
-    def test_root_escaping_throw_depth(self):
-        leaf_prog = MethodProgram([OP_THROW], ["deep"], [3], [-1], name="leaf")
-        leaf = Method("leaf", "throw.Test", leaf_prog, bytecode_size=40)
-        root_prog = ProgramBuilder("root").call(1, leaf).build()
-        # without root knowledge the depth is legal (unknown callers may
-        # sit above); as a vm.run root it is a guaranteed escape
-        assert verify_call_tree(root_prog)["programs"] == 2
-        with pytest.raises(InvariantViolation) as exc_info:
-            verify_call_tree(root_prog, assume_root=True)
-        assert exc_info.value.rule == "program/throw-depth"
-
-    def test_handled_throw_depth_passes_as_root(self):
-        leaf_prog = MethodProgram([OP_THROW], ["ok"], [1], [-1], name="leaf")
-        leaf = Method("leaf", "throw.Ok", leaf_prog, bytecode_size=40)
-        root_prog = ProgramBuilder("root").call(1, leaf).build()
-        assert verify_call_tree(root_prog, assume_root=True)["programs"] == 2
-
-
-class TestSymbolicTicks:
-    def test_generic_and_dispatch_sums_agree_on_shipped_ops(self):
-        callee = Method(
-            "callee", "ticks.Test", ProgramBuilder("callee").build(), bytecode_size=40
-        )
-        builder = ProgramBuilder("body")
-        builder.work(37.0).loop(10, 5.5).call(1, callee)
-        program = builder.build()
-        for factor in PROBE_FACTORS:
-            for tax in PROBE_TAXES:
-                generic, dispatch = symbolic_tick_sum(program, factor, tax)
-                assert generic == dispatch
-
-    def test_every_probe_point_is_exercised(self):
-        assert len(PROBE_FACTORS) * len(PROBE_TAXES) == 16
-
-    def test_shipped_perf_kernel_programs_verify_clean(self):
-        entry = check_shipped_programs()
-        assert entry["verifier_findings"] == []
-        assert entry["programs_checked"] >= 3
-
-
-class TestRuleCatalogue:
-    def test_rules_documented(self):
-        assert set(VERIFIER_RULES) == {
-            "program/operand-shape",
-            "program/repeat-nesting",
-            "program/register-use-before-def",
-            "program/unreachable-op",
-            "program/throw-depth",
-            "program/stack-wrap",
-            "program/clock-accounting",
-        }
-
-
-class TestLoweringDiagnostics:
-    def test_unsupported_signature_records_reason(self):
-        def body(ctx, extra_arg):
-            ctx.work(10)
-
-        diagnostics = LoweringDiagnostics()
-        assert lower_callable(body, diagnostics=diagnostics) is None
-        assert len(diagnostics) == 1
-        event = diagnostics.events[0]
-        assert event["reason"] == "unsupported-signature"
-        assert "body" in event["function"]
-        assert diagnostics.reasons() == {"unsupported-signature": 1}
-
-    def test_non_lowerable_statement_records_location(self):
-        def body(ctx):
-            total = 0  # noqa: F841 - deliberately unlowerable
-            ctx.work(10)
-
-        diagnostics = LoweringDiagnostics()
-        assert lower_callable(body, diagnostics=diagnostics) is None
-        assert len(diagnostics) == 1
-        assert diagnostics.events[0]["line"] > 0
-
-    def test_diagnostics_default_is_silent(self):
-        def body(ctx, extra_arg):
-            ctx.work(10)
-
-        assert lower_callable(body) is None
-
-    def test_successful_lowering_records_nothing(self):
-        def body(ctx):
-            ctx.work(10)
-
-        diagnostics = LoweringDiagnostics()
-        assert lower_callable(body, diagnostics=diagnostics) is not None
-        assert len(diagnostics) == 0
-
-    def test_vm_counts_lowering_failures(self):
-        from repro.runtime.dispatch import _program_of
-        from repro.telemetry import Telemetry
-
-        vm, _ = build_vm("g1", heap_mb=8, telemetry=Telemetry.for_run("test"))
-
-        def opaque_body(ctx, extra):
-            ctx.work(1)
-
-        method = Method("m", "diag.Test", opaque_body, bytecode_size=40)
-        assert _program_of(vm, method) is None
-        assert vm.lowering_diagnostics.reasons() == {"unsupported-signature": 1}
-        assert (
-            vm._m_lowering_failures.value(reason="unsupported-signature") == 1
-        )
-        # memoized failure: no double counting on re-dispatch
-        assert _program_of(vm, method) is None
-        assert (
-            vm._m_lowering_failures.value(reason="unsupported-signature") == 1
-        )
-
-
-def faulty_method():
-    program = MethodProgram(
-        [OP_REPEAT, OP_WORK], [0, 10.0], [9, None], [1, -1], nregs=2, name="bad"
-    )
-    return Method("bad", "gate.Test", program, bytecode_size=40)
-
-
-def healthy_method():
-    builder = ProgramBuilder("ok", nregs=2)
-    builder.repeat(1, 0)
-    builder.alloc_table(3, [64, 128], [5_000.0, 50_000.0], 0)
-    builder.end_repeat()
-    builder.work(25.0)
-    return Method("ok", "gate.Test", builder.build(), bytecode_size=60)
-
-
-class TestStaticCheckGate:
-    def run_cells(self, method, ops=64):
-        vm, _ = build_vm("rolp", heap_mb=16)
-        thread = vm.spawn_thread("main")
-        for start in range(0, ops, 8):
-            vm.run(thread, method, start, 8)
-        return {
-            "now_ns": vm.clock.now_ns,
-            "allocations": vm.allocations,
-            "bytes": vm.bytes_allocated,
-            "stack_state": thread.stack_state,
-            "tax": repr(vm.profiling_tax_ns),
-        }
-
-    def test_gate_off_by_default_and_null_hook(self):
-        vm, _ = build_vm("rolp", heap_mb=16)
-        assert vm.static_check is False
-        thread = vm.spawn_thread("main")
-        vm.run(thread, healthy_method(), 0, 4)
-        assert vm._static_checked == set()
-
-    def test_gate_trips_on_planted_fault_before_execution(self):
-        previous = set_static_check(True)
-        try:
-            vm, _ = build_vm("rolp", heap_mb=16)
-            thread = vm.spawn_thread("main")
-            with pytest.raises(InvariantViolation) as exc_info:
-                vm.run(thread, faulty_method(), 0, 4)
-            assert exc_info.value.rule == "program/repeat-nesting"
-            # tripped before any op executed: clock never moved
-            assert vm.clock.now_ns == 0
-            assert vm.allocations == 0
-        finally:
-            set_static_check(previous)
-
-    def test_gate_runs_are_byte_identical(self):
-        baseline = self.run_cells(healthy_method())
-        previous = set_static_check(True)
-        try:
-            checked = self.run_cells(healthy_method())
-        finally:
-            set_static_check(previous)
-        assert checked == baseline
-
-    def test_gate_memoizes_per_method(self):
-        previous = set_static_check(True)
-        try:
-            vm, _ = build_vm("rolp", heap_mb=16)
-            thread = vm.spawn_thread("main")
-            method = healthy_method()
-            vm.run(thread, method, 0, 4)
-            vm.run(thread, method, 4, 4)
-            assert vm._static_checked == {id(method)}
-        finally:
-            set_static_check(previous)
-
-
-class _FaultyWorkload(Workload):
-    """A registered workload shipping one malformed program."""
-
-    name = "staticcheck-faulty"
-    heap_mb = 16
-
-    def build(self, vm) -> None:
-        self.vm = vm
-        self.method = faulty_method()
-
-    def run_op(self, op_index: int) -> None:  # pragma: no cover - never run
-        raise AssertionError("staticcheck must flag this workload unrun")
+#: per registered workload: (structural, value-dependent, clean) site
+#: counts and the predicted conflict sites they sum to
+EXPECTED_PREDICTIONS = {
+    "adversarial": ((32, 3, 0), 35),
+    "cassandra-wi": ((2, 4, 5), 6),
+    "cassandra-rw": ((2, 4, 5), 6),
+    "cassandra-ri": ((2, 4, 5), 6),
+    "graphchi-cc": ((1, 1, 2), 2),
+    "graphchi-pr": ((1, 1, 2), 2),
+    "lucene": ((0, 4, 7), 4),
+    "traced-sample": ((0, 2, 1), 2),
+}
 
 
 class TestCommandLine:
     def test_staticcheck_exits_zero_on_shipped_workloads(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = cli.main(
-            ["staticcheck", "--workloads", "lucene", "--report-out", str(out)]
+            [
+                "staticcheck",
+                "--workloads",
+                "lucene",
+                "--corpus-dir",
+                CORPUS_DIR,
+                "--report-out",
+                str(out),
+            ]
         )
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schema"] == "rolp-bench/staticcheck/v1"
-        assert report["totals"]["verifier_findings"] == 0
-        assert report["totals"]["programs_checked"] > 0
+        assert report["schema"] == "rolp-bench/staticcheck/v2"
+        assert report["totals"]["predicted_conflict_sites"] > 0
+        assert report["totals"]["conflict_heavy_genomes"] >= 1
         assert [entry["name"] for entry in report["workloads"]] == ["lucene"]
-
-    def test_staticcheck_exits_three_on_planted_fault(self, tmp_path, capsys):
-        register_workload("staticcheck-faulty", _FaultyWorkload, 100)
-        try:
-            out = tmp_path / "report.json"
-            code = cli.main(
-                [
-                    "staticcheck",
-                    "--workloads",
-                    "staticcheck-faulty",
-                    "--report-out",
-                    str(out),
-                ]
-            )
-            assert code == 3
-            report = json.loads(out.read_text())
-            findings = report["workloads"][0]["verifier_findings"]
-            assert [finding["rule"] for finding in findings] == [
-                "program/repeat-nesting"
-            ]
-            assert "program/repeat-nesting" in capsys.readouterr().err
-        finally:
-            EXTRA_WORKLOADS.pop("staticcheck-faulty", None)
-            EXTRA_WORKLOAD_OPS.pop("staticcheck-faulty", None)
 
     def test_full_report_over_every_registered_workload(self):
         report = run_staticcheck()
         names = [entry["name"] for entry in report["workloads"]]
         assert "cassandra-wi" in names and "adversarial" in names
-        assert report["totals"]["verifier_findings"] == 0
         assert report["totals"]["predicted_conflict_sites"] > 0
-        assert report["programs"]["programs_checked"] >= 6
+        predictions = {
+            entry["name"]: (
+                (
+                    entry["collision_classes"]["structural"],
+                    entry["collision_classes"]["value-dependent"],
+                    entry["collision_classes"]["clean"],
+                ),
+                entry["predicted_conflict_sites"],
+            )
+            for entry in report["workloads"]
+        }
+        assert predictions == EXPECTED_PREDICTIONS

@@ -40,7 +40,7 @@ class TestWorkloadBase:
             Workload().run_op(0)
 
     def test_make_thread_requires_build(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(RuntimeError, match="build\\(\\) must run first"):
             TinyWorkload().make_thread("x")
 
     def test_package_filter_from_declared_packages(self):
