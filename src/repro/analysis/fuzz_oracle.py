@@ -8,7 +8,7 @@ banking into the regression corpus — when any of three oracles fire:
 
 * ``invariant/<rule>`` — a sanitizer raised
   :class:`repro.analysis.InvariantViolation` (rule id preserved),
-* ``differential/fingerprint-divergence`` — the reference/fast/compiled
+* ``differential/fingerprint-divergence`` — the reference and fast
   backends disagree at the byte level on the run fingerprint,
 * ``inference/accuracy-cliff`` — inference ran but its survivor
   estimates thrash beyond :data:`ACCURACY_CLIFF_DRIFT` mean age steps

@@ -5,8 +5,8 @@ A seeded evolutionary search over :class:`DemographyGenome` space
 and differential investment wired in as the oracle:
 
 * every candidate genome is simulated once per execution backend
-  (``reference``/``fast``/``compiled``) with **level-2 invariant
-  verification live**,
+  (``reference``/``fast``) with **level-2 invariant verification
+  live**,
 * the per-backend outcomes go through
   :func:`repro.analysis.fuzz_oracle.judge` — invariant violations,
   cross-backend fingerprint divergence and inference-accuracy cliffs
@@ -245,8 +245,8 @@ def fingerprint_workload(
 def _fuzz_eval_cell(seed, telemetry, genome, workload, ops, backend, verify):
     """One candidate evaluation.  Exactly one of ``genome`` (canonical
     JSON) and ``workload`` (registry name) is non-empty.  The backend is
-    a treatment parameter (shared seed scope), so all three backends
-    replay the identical candidate."""
+    a treatment parameter (shared seed scope), so both backends replay
+    the identical candidate."""
     if genome:
         return evaluate_genome(genome, seed, ops, backend, verify)
     return evaluate_registered(workload, seed, ops, backend, verify)
@@ -328,7 +328,7 @@ def shrink_genome(genome: DemographyGenome, holds) -> DemographyGenome:
 
 
 def _finding_holds(runner: Runner, rule_id: str, ops: int):
-    """Predicate: the full three-backend oracle still reports
+    """Predicate: the full two-backend oracle still reports
     ``rule_id`` for the candidate."""
 
     def holds(candidate: DemographyGenome) -> bool:

@@ -2,14 +2,14 @@
 
 Five named kernels time the simulator's hottest code paths — allocation,
 method entry/exit, survivor tracking, header pack/unpack and the full-GC
-copy loop — once per execution backend (``reference``, ``fast``,
-``compiled``; see :mod:`repro.fastpath`).  Each kernel is driven by the
-experiment runner as a triple of ``perf_kernel`` cells sharing one
-derived seed (the ``backend`` is a treatment parameter), so every
-backend replays the identical workload and the kernel doubles as a
-differential test: every cell returns a *fingerprint* of the
-simulation's observable state (counters, clocks, table checksums), and
-all backends must produce byte-identical fingerprints.
+copy loop — once per execution backend (``reference`` and ``fast``; see
+:mod:`repro.fastpath`).  Each kernel is driven by the experiment runner
+as a pair of ``perf_kernel`` cells sharing one derived seed (the
+``backend`` is a treatment parameter), so both backends replay the
+identical workload and the kernel doubles as a differential test: every
+cell returns a *fingerprint* of the simulation's observable state
+(counters, clocks, table checksums), and both backends must produce
+byte-identical fingerprints.
 
 Timing cells are deliberately **never cached**: a wall-clock measurement
 replayed from a previous run's cache entry is not a measurement.  The
@@ -18,12 +18,12 @@ backend still participates in the shared result-cache key (see
 populate every backend side by side.
 
 ``perf()`` returns the ``BENCH_6.json`` payload: per kernel, the
-reference timing (the pre-optimisation baseline), the fast and compiled
-timings, both speedups and the fingerprint verdict, plus the process's
-peak RSS.  With ``repeat > 1`` each (kernel, backend) cell rebuilds its
-fixture and re-times ``repeat`` times; reported ``ns_per_op`` is the
-median and ``cv`` the coefficient of variation (population stdev /
-mean) across runs, so noisy hosts are visible in the artifact.
+reference timing (the pre-optimisation baseline), the fast timing, its
+speedup and the fingerprint verdict, plus the process's peak RSS.  With
+``repeat > 1`` each (kernel, backend) cell rebuilds its fixture and
+re-times ``repeat`` times; reported ``ns_per_op`` is the median and
+``cv`` the coefficient of variation (population stdev / mean) across
+runs, so noisy hosts are visible in the artifact.
 
 Wall-clock use (``time.perf_counter``) is legitimate here: the bench
 package is harness scope, outside the determinism lint's simulation-core
@@ -54,15 +54,9 @@ from repro.heap import header as hdr
 from repro.heap.bandwidth import BandwidthModel
 from repro.heap.heap import RegionHeap
 from repro.heap.object_model import IMMORTAL, SimObject
-from repro.heap.soa import HAVE_NUMPY
 from repro.metrics.report import render_table
 from repro.runtime.method import Method
 from repro.runtime.vm import JavaVM, VMFlags
-
-try:  # pragma: no cover - numpy is part of the baked toolchain
-    import numpy as _np
-except ImportError:  # pragma: no cover - degraded environments
-    _np = None
 
 #: the kernel catalogue, in print order (docs/performance.md documents
 #: exactly what each one exercises)
@@ -214,9 +208,7 @@ def _kernel_call(seed: int, ops: int) -> KernelRun:
 def _kernel_survivor(seed: int, ops: int) -> KernelRun:
     """Survivor tracking: the per-GC-worker buffering of survival
     records plus the end-of-pause merge into the OLD table (including
-    the periodic inference pass).  The compiled backend feeds the same
-    headers through the vectorized column scan
-    (:meth:`~repro.core.profiler.RolpProfiler.on_gc_survivors_soa`)."""
+    the periodic inference pass)."""
     rng = random.Random(seed)
     profiler = RolpProfiler(RolpConfig(gc_workers=4))
     table = profiler.old_table
@@ -234,23 +226,9 @@ def _kernel_survivor(seed: int, ops: int) -> KernelRun:
         objs.append(obj)
     batches = max(1, ops // len(objs))
 
-    if backend() == "compiled" and HAVE_NUMPY:
-        # the column scan consumes raw headers; same words, same order
-        headers = _np.fromiter(
-            (obj.header for obj in objs), _np.uint64, count=len(objs)
-        )
-
-        def scan() -> None:
-            profiler.on_gc_survivors_soa(headers, 4)
-
-    else:
-
-        def scan() -> None:
-            profiler.on_gc_survivors(objs, 4)
-
     def run() -> Tuple[int, Dict[str, object]]:
         for gc_number in range(1, batches + 1):
-            scan()
+            profiler.on_gc_survivors(objs, 4)
             profiler.on_gc_end(gc_number, gc_number * 1_000_000, 1_000_000.0)
         return batches * len(objs), {
             "table": _table_checksum(table),
@@ -265,8 +243,8 @@ def _kernel_survivor(seed: int, ops: int) -> KernelRun:
 
 def _kernel_header(seed: int, ops: int) -> KernelRun:
     """Header bit manipulation: the age increment and fresh-header
-    construction the copy and allocation loops lean on.  The optimised
-    backends time the scalar functions, the reference backend their
+    construction the copy and allocation loops lean on.  The fast
+    backend times the scalar functions, the reference backend their
     ``*_reference`` twins; the accumulator proves they compute the same
     words."""
     rng = random.Random(seed)
@@ -292,9 +270,7 @@ def _kernel_header(seed: int, ops: int) -> KernelRun:
 def _kernel_gc_copy(seed: int, ops: int) -> KernelRun:
     """The young-GC copy loop: survivor profiling, aging, re-placement.
     A tenuring threshold above ``MAX_AGE`` pins every object in survivor
-    space, so each forced collection re-copies the full live set.  Under
-    the compiled backend the live set resides in SoA columns and the
-    sweep vectorizes (:mod:`repro.heap.soa`)."""
+    space, so each forced collection re-copies the full live set."""
     rng = random.Random(seed)
     heap = RegionHeap(64 << 20, 256 << 10)
     collector = G1Collector(
@@ -413,7 +389,7 @@ def perf(
     runner: Optional[Runner] = None,
     repeat: int = 1,
 ) -> Dict[str, object]:
-    """Run every kernel through all three backends; return the BENCH_6
+    """Run every kernel through both backends; return the BENCH_6
     payload.
 
     ``runner`` supplies seed/progress settings, but the timing cells
@@ -455,11 +431,8 @@ def perf(
         kernels_payload[name] = {
             "reference": _timing(reference),
             "fast": _timing(by_backend["fast"]),
-            "compiled": _timing(by_backend["compiled"]),
             "speedup": {
                 "fast": by_backend["fast"]["ops_per_s"] / reference["ops_per_s"],
-                "compiled": by_backend["compiled"]["ops_per_s"]
-                / reference["ops_per_s"],
             },
             "fingerprint_match": all(
                 by_backend[b]["fingerprint"] == reference["fingerprint"]
@@ -499,9 +472,7 @@ def render_perf(payload: Dict[str, object]) -> str:
                 entry["reference"]["ops"],
                 "%.0f" % entry["reference"]["ns_per_op"],
                 "%.0f" % entry["fast"]["ns_per_op"],
-                "%.0f" % entry["compiled"]["ns_per_op"],
                 "%.2fx" % entry["speedup"]["fast"],
-                "%.2fx" % entry["speedup"]["compiled"],
                 "yes" if entry["fingerprint_match"] else "NO — DIVERGED",
             ]
         )
@@ -511,9 +482,7 @@ def render_perf(payload: Dict[str, object]) -> str:
             "ops",
             "ref ns/op",
             "fast ns/op",
-            "compiled ns/op",
             "fast speedup",
-            "compiled speedup",
             "equivalent",
         ],
         rows,

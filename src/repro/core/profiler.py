@@ -46,11 +46,6 @@ from repro.core.old_table import OldTable, WorkerTable
 from repro.core.survivor_tracking import SurvivorTrackingController
 from repro.telemetry import NULL_TELEMETRY
 
-try:  # pragma: no cover - numpy is part of the baked toolchain
-    import numpy as _np
-except ImportError:  # pragma: no cover - degraded environments
-    _np = None
-
 
 @dataclass
 class RolpConfig:
@@ -333,19 +328,26 @@ class RolpProfiler(NullProfiler):
             self._m_survivals.inc(recorded)
 
     def on_gc_survivors_soa(self, headers, gc_threads: int) -> None:
-        """Column-sweep twin of :meth:`_on_gc_survivors_fast`.
+        """numpy twin of :meth:`_on_gc_survivors_fast`; nothing calls it.
+
+        The benchmark's traced pass (``perfbench/tracing.py``) still
+        wraps this method by name, so it stays until the next change to
+        the benchmark drops that wrap; this method and the numpy
+        dependency go with that change.  numpy is imported here, not at
+        module level, so it stays off every import path.
 
         ``headers`` is a uint64 ndarray of the survivors' *pre-aging*
-        headers, in survivor order (the SoA collect-young passes it; see
-        :meth:`repro.gc.generational.GenerationalCollector._collect_young_soa`).
-        The bias/context validity checks, worker assignment and (context,
-        age) bucketing vectorize; the per-worker ``updates`` dicts are
-        then filled from the unique buckets **in first-occurrence order**,
-        so each worker's dict insertion order — which fixes the
-        ``merge_worker`` iteration order — matches the per-object loop
-        exactly.  Every value is converted back to a Python int before it
-        enters a dict or counter.
+        headers, in survivor order.  The bias/context validity checks,
+        worker assignment and (context, age) bucketing vectorize; the
+        per-worker ``updates`` dicts are then filled from the unique
+        buckets **in first-occurrence order**, so each worker's dict
+        insertion order — which fixes the ``merge_worker`` iteration
+        order — matches the per-object loop exactly.  Every value is
+        converted back to a Python int before it enters a dict or
+        counter.
         """
+        import numpy as _np
+
         n = len(headers)
         if n == 0:
             return

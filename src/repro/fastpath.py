@@ -4,22 +4,20 @@ The performance pass (see docs/performance.md) keeps every optimised
 hot path next to its original *reference* implementation: components
 capture the switch at construction time and choose one or the other.
 The differential equivalence suite (tests/test_perf_equivalence.py) and
-the ``rolp-bench perf`` kernels run every backend against the reference
-and assert byte-identical behaviour, so the fast paths can default to on
-without moving any rendered figure or table.
+the ``rolp-bench perf`` kernels run both backends against each other
+and assert byte-identical behaviour, so the fast paths can default to
+on without moving any rendered figure or table.
 
-Three backends exist:
+Two backends exist:
 
 * ``"reference"`` — the original, maximally readable implementations;
 * ``"fast"`` — the inlined twins (``FastExecutionContext``, batched
-  survivor profiling, O(1) heap counters, ...);
-* ``"compiled"`` — the fast paths plus the column-stored ("SoA") heap
-  hot state for the young-GC sweeps (:mod:`repro.heap.soa`).
+  survivor profiling, O(1) heap counters, ...).
 
 Semantics:
 
-* ``ROLP_BACKEND=reference|fast|compiled`` selects the backend for the
-  whole process; unset, it is ``"fast"``.
+* ``ROLP_BACKEND=reference|fast`` selects the backend for the whole
+  process; unset, it is ``"fast"``.
 * :func:`set_backend` flips the process-wide default at runtime and
   returns the previous value; only components constructed *after* the
   flip observe it (VMs, profilers, collectors and OLD tables capture
@@ -32,7 +30,7 @@ from __future__ import annotations
 import os
 
 #: the recognised execution backends, slowest first
-BACKENDS = ("reference", "fast", "compiled")
+BACKENDS = ("reference", "fast")
 
 
 def _initial_backend() -> str:
@@ -68,5 +66,5 @@ def set_backend(name: str) -> str:
 
 
 def fast_paths_enabled() -> bool:
-    """Whether any optimised backend is selected (fast or compiled)."""
+    """Whether the optimised backend is selected."""
     return BACKEND != "reference"

@@ -12,13 +12,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.analysis import NULL_VERIFIER
-from repro.fastpath import backend, fast_paths_enabled
+from repro.fastpath import fast_paths_enabled
 from repro.heap.bandwidth import BandwidthModel
 from repro.heap.header import AGE_MASK, AGE_SHIFT, CONTEXT_SHIFT, MASK_32
 from repro.heap.heap import RegionHeap, SimOutOfMemoryError
 from repro.heap.object_model import IMMORTAL, SimObject
 from repro.heap.region import Space
-from repro.heap.soa import HAVE_NUMPY, ObjectColumns  # rolp-lint: allow[backend-hygiene]
 from repro.runtime.clock import SimClock
 from repro.runtime.hooks import NullProfiler
 from repro.telemetry import NULL_TELEMETRY, PAUSE_HISTOGRAM_BUCKETS_MS
@@ -59,10 +58,6 @@ class Collector:
     ages_on_copy = False
     in_place_old_sweep = False
     supports_dynamic_gens = False
-    #: whether this collector's copy loops have a vectorized SoA variant
-    #: (the compiled backend mirrors object hot state into columns only
-    #: when the collector can actually sweep them)
-    supports_soa = False
 
     def __init__(
         self,
@@ -83,16 +78,6 @@ class Collector:
         self.verifier = NULL_VERIFIER
         #: construction-time snapshot of the process fast-path switch
         self._fast_paths = fast_paths_enabled()
-        #: construction-time snapshot of the execution backend
-        self._backend = backend()
-        # Compiled backend: objects live in array-of-structs columns with
-        # SimObject-compatible views, so the copy loops can vectorize.
-        if self._backend == "compiled" and self.supports_soa and HAVE_NUMPY:
-            self._columns: Optional[ObjectColumns] = ObjectColumns()
-            self._make_obj = self._columns.allocate
-        else:
-            self._columns = None
-            self._make_obj = SimObject
         #: (context, age) -> bytes copied since the last recorded pause;
         #: filled only while tracing, read by the pause-attribution report
         self._pause_contribs: dict = {}
@@ -141,7 +126,7 @@ class Collector:
         """Allocate a new object, collecting first if policy demands."""
         self._maybe_collect()
         self.bytes_allocated += size
-        obj = self._make_obj(size, self.clock.now_ns, death_time_ns, context)
+        obj = SimObject(size, self.clock.now_ns, death_time_ns, context)
         space, gen = self._placement(obj, context, gen_hint)
         try:
             self.heap.allocate(obj, space, gen)

@@ -125,8 +125,8 @@ class JavaVM:
         self.bytes_allocated = 0
         #: mutator nanoseconds spent purely on profiling code
         self.profiling_tax_ns = 0.0
-        #: whether an optimised backend (fast or compiled) was selected;
-        #: both run method bodies through the inlined context twin
+        #: whether the optimised (fast) backend was selected; it runs
+        #: method bodies through the inlined context twin
         self.fast_paths = fast_paths_enabled()
         self._ctx_class = FastExecutionContext if self.fast_paths else ExecutionContext
         if self.fast_paths:

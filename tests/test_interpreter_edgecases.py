@@ -4,11 +4,10 @@ rethrow hook), 16-bit stack-state wraparound under deeply instrumented
 call chains, the OSR corruption pulse, allocation outside any frame,
 and ``loop()`` clock accounting.
 
-Every test runs against all three execution backends, selected the way
+Every test runs against both execution backends, selected the way
 production selects them — via the process-global backend switch at VM
 construction.  The reference backend runs bodies through
-:class:`ExecutionContext`; ``fast`` and ``compiled`` (which adds only
-the column-stored GC sweeps) run them through
+:class:`ExecutionContext`; ``fast`` runs them through
 :class:`FastExecutionContext`.
 """
 
@@ -52,7 +51,6 @@ class TestContextSelection:
         expected = {
             "reference": ExecutionContext,
             "fast": FastExecutionContext,
-            "compiled": FastExecutionContext,
         }[exec_backend]
         assert type(ctx) is expected
 

@@ -211,12 +211,6 @@ class TestBuiltinShadowingRule:
 
 
 class TestBackendHygieneRule:
-    def test_twin_module_import_fires(self):
-        assert rules_of("import repro.heap.soa\n") == {"backend-hygiene"}
-        assert rules_of("from repro.heap.soa import ObjectColumns\n") == {
-            "backend-hygiene"
-        }
-
     def test_twin_symbol_import_fires(self):
         src = "from repro.runtime.interpreter import FastExecutionContext\n"
         assert rules_of(src) == {"backend-hygiene"}
@@ -231,29 +225,15 @@ class TestBackendHygieneRule:
         assert findings(src, "src/repro/fastpath.py") == []
 
     def test_harness_code_may_import_twins(self):
-        src = "from repro.heap.soa import ObjectColumns\n"
+        src = "from repro.runtime.interpreter import FastExecutionContext\n"
         assert findings(src, HARNESS) == []
 
     def test_line_waiver_applies(self):
         src = (
-            "from repro.heap.soa import ObjectColumns"
+            "from repro.runtime.interpreter import FastExecutionContext"
             "  # rolp-lint: allow[backend-hygiene]\n"
         )
         assert findings(src) == []
-
-    def test_collector_soa_import_needs_its_waiver(self):
-        """gc/collector.py names ObjectColumns directly (it snapshots
-        the switch in __init__) — remove the waiver and the rule
-        fires."""
-        import repro.gc.collector as collector_mod
-
-        path = collector_mod.__file__
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        assert lint.lint_source(source, path) == []
-        stripped = source.replace("  # rolp-lint: allow[backend-hygiene]", "")
-        hits = lint.lint_source(stripped, path)
-        assert [f.rule for f in hits] == ["backend-hygiene"]
 
 
 class TestWaivers:
@@ -348,6 +328,6 @@ def test_every_rule_has_a_firing_fixture(rule):
         "mutable-default": "def f(xs=[]):\n    return xs\n",
         "unordered-iteration": "xs = [x for x in {1, 2}]\n",
         "builtin-shadowing": "id = 3\n",
-        "backend-hygiene": "from repro.heap.soa import ObjectColumns\n",
+        "backend-hygiene": "from repro.runtime.interpreter import FastExecutionContext\n",
     }
     assert rules_of(fixtures[rule]) == {rule}
