@@ -1,26 +1,22 @@
 """Hot-path microbenchmarks (``rolp-bench perf``).
 
-Five named kernels time the simulator's hottest code paths — allocation,
-method entry/exit, survivor tracking, header pack/unpack and the full-GC
-copy loop — once per execution backend (``reference`` and ``fast``; see
-:mod:`repro.fastpath`).  Each kernel is driven by the experiment runner
-as a pair of ``perf_kernel`` cells sharing one derived seed (the
-``backend`` is a treatment parameter), so both backends replay the
-identical workload and the kernel doubles as a differential test: every
-cell returns a *fingerprint* of the simulation's observable state
-(counters, clocks, table checksums), and both backends must produce
-byte-identical fingerprints.
+Four named kernels time the simulator's hottest code paths — allocation,
+method entry/exit, survivor tracking and the young-GC copy loop — once
+per execution backend (``reference`` and ``fast``; see
+:mod:`repro.fastpath`).  Both backends of a kernel replay the identical
+workload from one derived seed, so the kernel doubles as a differential
+test: every run returns a *fingerprint* of the simulation's observable
+state (counters, clocks, table checksums), and both backends must
+produce byte-identical fingerprints.
 
-Timing cells are deliberately **never cached**: a wall-clock measurement
-replayed from a previous run's cache entry is not a measurement.  The
-backend still participates in the shared result-cache key (see
-``ResultCache.key_material``) so the figure/table equivalence suite can
-populate every backend side by side.
+Kernels are not runner cells: a wall-clock timing is not a pure
+function of its inputs, so it must never be memoized, cached or served
+as a job.  :func:`perf` calls :func:`run_kernel` directly, serially.
 
 ``perf()`` returns the ``BENCH_6.json`` payload: per kernel, the
 reference timing (the pre-optimisation baseline), the fast timing, its
 speedup and the fingerprint verdict, plus the process's peak RSS.  With
-``repeat > 1`` each (kernel, backend) cell rebuilds its fixture and
+``repeat > 1`` each (kernel, backend) pair rebuilds its fixture and
 re-times ``repeat`` times; reported ``ns_per_op`` is the median and
 ``cv`` the coefficient of variation (population stdev / mean) across
 runs, so noisy hosts are visible in the artifact.
@@ -35,20 +31,15 @@ from __future__ import annotations
 import random
 import resource
 import statistics
+import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import build_vm
 from repro.bench.config import bench_scale, scaled_ops
-from repro.bench.runner import (
-    DEFAULT_BASE_SEED,
-    Runner,
-    cell_kind,
-    make_cell,
-    shared_seed_scope,
-)
+from repro.bench.runner import DEFAULT_BASE_SEED, derive_seed
 from repro.core.profiler import RolpConfig, RolpProfiler
-from repro.fastpath import BACKENDS, backend, set_backend
+from repro.fastpath import BACKENDS, set_backend
 from repro.gc.g1 import G1Collector
 from repro.heap import header as hdr
 from repro.heap.bandwidth import BandwidthModel
@@ -60,14 +51,13 @@ from repro.runtime.vm import JavaVM, VMFlags
 
 #: the kernel catalogue, in print order (docs/performance.md documents
 #: exactly what each one exercises)
-PERF_KERNELS = ("alloc", "call", "survivor", "header", "gc_copy")
+PERF_KERNELS = ("alloc", "call", "survivor", "gc_copy")
 
 #: unscaled operation budget per kernel (ROLP_BENCH_SCALE applies)
 _BASE_OPS = {
     "alloc": 60_000,
     "call": 60_000,
     "survivor": 120_000,
-    "header": 200_000,
     "gc_copy": 30_000,
 }
 
@@ -241,32 +231,6 @@ def _kernel_survivor(seed: int, ops: int) -> KernelRun:
     return run
 
 
-def _kernel_header(seed: int, ops: int) -> KernelRun:
-    """Header bit manipulation: the age increment and fresh-header
-    construction the copy and allocation loops lean on.  The fast
-    backend times the scalar functions, the reference backend their
-    ``*_reference`` twins; the accumulator proves they compute the same
-    words."""
-    rng = random.Random(seed)
-    headers = [rng.getrandbits(64) for _ in range(4_096)]
-    contexts = [rng.getrandbits(32) for _ in range(4_096)]
-    if backend() == "reference":
-        increment, fresh = hdr.increment_age_reference, hdr.fresh_header_reference
-    else:
-        increment, fresh = hdr.increment_age, hdr.fresh_header
-
-    def run() -> Tuple[int, Dict[str, object]]:
-        accumulator = 0
-        n = len(headers)
-        mask = hdr.MASK_64
-        for i in range(ops):
-            j = i % n
-            accumulator = (accumulator + increment(headers[j]) + fresh(contexts[j])) & mask
-        return ops, {"checksum": accumulator}
-
-    return run
-
-
 def _kernel_gc_copy(seed: int, ops: int) -> KernelRun:
     """The young-GC copy loop: survivor profiling, aging, re-placement.
     A tenuring threshold above ``MAX_AGE`` pins every object in survivor
@@ -316,7 +280,6 @@ _KERNEL_FNS = {
     "alloc": _kernel_alloc,
     "call": _kernel_call,
     "survivor": _kernel_survivor,
-    "header": _kernel_header,
     "gc_copy": _kernel_gc_copy,
 }
 
@@ -324,8 +287,8 @@ _KERNEL_FNS = {
 def run_kernel(
     kernel: str, seed: int, ops: int, backend_name: str = "fast", repeat: int = 1
 ) -> Dict[str, object]:
-    """Run one kernel under one backend; the building block the cell
-    kind and the differential tests share.
+    """Run one kernel under one backend; the building block
+    :func:`perf` and the differential tests share.
 
     The process-global backend switch is flipped for the duration so
     every component constructed inside captures the requested backend,
@@ -372,30 +335,19 @@ def run_kernel(
     }
 
 
-@cell_kind(
-    "perf_kernel",
-    track=lambda p: "perf/%s/%s" % (p["kernel"], p["backend"]),
-    seed_scope=shared_seed_scope("perf_kernel", "backend", "repeat"),
-)
-def _perf_cell(seed, telemetry, kernel, ops, backend, repeat=1):
-    return run_kernel(kernel, seed, ops, backend, repeat)
-
-
 # ------------------------------------------------------------------- experiment
 
 def perf(
     kernels: Optional[Sequence[str]] = None,
-    session=None,
-    runner: Optional[Runner] = None,
+    base_seed: int = DEFAULT_BASE_SEED,
     repeat: int = 1,
 ) -> Dict[str, object]:
-    """Run every kernel through both backends; return the BENCH_6
-    payload.
+    """Run every kernel through both backends, reporting progress on
+    stderr; return the BENCH_6 payload.
 
-    ``runner`` supplies seed/progress settings, but the timing cells
-    always execute uncached (see the module docstring) and sequentially:
-    concurrent workers contend for cores, and a contended wall-clock
-    measurement would report speedups that are scheduler noise.
+    Runs are sequential: concurrent workers contend for cores, and a
+    contended wall-clock measurement would report speedups that are
+    scheduler noise.
     """
     names = list(kernels or PERF_KERNELS)
     unknown = [name for name in names if name not in _KERNEL_FNS]
@@ -404,29 +356,22 @@ def perf(
             "unknown perf kernel(s) %s (choose from: %s)"
             % (", ".join(sorted(unknown)), ", ".join(PERF_KERNELS))
         )
-    timing_runner = Runner(
-        jobs=1,
-        cache=None,
-        base_seed=runner.base_seed if runner is not None else DEFAULT_BASE_SEED,
-        session=session if session is not None else getattr(runner, "session", None),
-        progress=runner.progress if runner is not None else False,
-    )
-    cells = [
-        make_cell(
-            "perf_kernel",
-            kernel=name,
-            ops=kernel_ops(name),
-            backend=backend_name,
-            repeat=max(1, int(repeat)),
-        )
-        for name in names
-        for backend_name in BACKENDS
-    ]
-    results = timing_runner.run(cells)
-    width = len(BACKENDS)
+    repeat = max(1, int(repeat))
     kernels_payload: Dict[str, object] = {}
-    for index, name in enumerate(names):
-        by_backend = dict(zip(BACKENDS, results[width * index : width * (index + 1)]))
+    for name in names:
+        ops = kernel_ops(name)
+        # both backends replay one seed; its key is the one the kernels'
+        # seeds derived from when they ran as runner cells, so
+        # fingerprints stay comparable across releases
+        seed = derive_seed("perf_kernel(kernel=%r, ops=%r)" % (name, ops), base_seed)
+        by_backend = {}
+        for backend_name in BACKENDS:
+            result = run_kernel(name, seed, ops, backend_name, repeat)
+            by_backend[backend_name] = result
+            print(
+                "[perf] %s/%s %.0f ns/op" % (name, backend_name, result["ns_per_op"]),
+                file=sys.stderr,
+            )
         reference = by_backend["reference"]
         kernels_payload[name] = {
             "reference": _timing(reference),
@@ -444,7 +389,7 @@ def perf(
         "schema": "rolp-bench/v1",
         "experiment": "perf",
         "scale": bench_scale(),
-        "repeat": max(1, int(repeat)),
+        "repeat": repeat,
         "rss_max_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "kernels": kernels_payload,
     }

@@ -190,7 +190,7 @@ def cell_kind(
 def _ensure_kinds() -> None:
     """Import every module that registers cell kinds (needed when a
     worker starts from a fresh interpreter, i.e. spawn start method)."""
-    from repro.bench import ablations, cli, figures, fuzz, perf, tables  # noqa: F401
+    from repro.bench import ablations, cli, figures, fuzz, tables  # noqa: F401
     from repro.server import jobs  # noqa: F401  (registers session_step)
 
 

@@ -93,23 +93,7 @@ def set_age(header: int, age: int) -> int:
 
 
 def increment_age(header: int) -> int:
-    """Advance the age by one GC cycle, saturating at ``MAX_AGE``.
-
-    Optimised to a single branch-and-add: while the age field is not
-    saturated, adding ``1 << AGE_SHIFT`` cannot carry out of the field,
-    so the masked read-modify-write of the reference implementation
-    (:func:`increment_age_reference`) collapses to one addition.  The
-    property suite asserts equality over the full 64-bit domain.
-    """
-    if (header & AGE_MASK) != AGE_MASK:
-        return header + (1 << AGE_SHIFT)
-    return header
-
-
-def increment_age_reference(header: int) -> int:
-    """Reference implementation of :func:`increment_age` (the original
-    masked read-modify-write), kept for the differential header kernel
-    and the property-based equivalence tests."""
+    """Advance the age by one GC cycle, saturating at ``MAX_AGE``."""
     return set_age(header, get_age(header) + 1)
 
 
@@ -153,22 +137,7 @@ def set_identity_hash(header: int, value: int) -> int:
 
 
 def fresh_header(context: int = 0, age: int = 0) -> int:
-    """Build a header for a newly allocated object.
-
-    The common (``age == 0``) case is one mask-and-shift: installing a
-    context into an all-zero header cannot touch any other field, so
-    the general read-modify-write of :func:`fresh_header_reference`
-    collapses to ``(context & MASK_32) << CONTEXT_SHIFT``.
-    """
-    header = (context & MASK_32) << CONTEXT_SHIFT
-    if age:
-        header = set_age(header, age)
-    return header
-
-
-def fresh_header_reference(context: int = 0, age: int = 0) -> int:
-    """Reference implementation of :func:`fresh_header`, kept for the
-    differential header kernel and the property-based tests."""
+    """Build a header for a newly allocated object."""
     header = install_context(0, context)
     if age:
         header = set_age(header, age)

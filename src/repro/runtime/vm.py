@@ -129,10 +129,6 @@ class JavaVM:
         #: method bodies through the inlined context twin
         self.fast_paths = fast_paths_enabled()
         self._ctx_class = FastExecutionContext if self.fast_paths else ExecutionContext
-        if self.fast_paths:
-            # Instance attribute shadows the class method: callers keep
-            # saying vm.allocate, dispatch picks the inlined body.
-            self.allocate = self._allocate_fast  # type: ignore[method-assign]
         collector.attach_vm(self)
 
     # -- threads ------------------------------------------------------------------
@@ -228,63 +224,6 @@ class JavaVM:
         if context:
             if sampled:
                 self.profiler.on_allocation(context, obj)
-            else:
-                if self.verifier.enabled:
-                    self.verifier.on_context_install(thread, obj, 0)
-                obj.header = install_context(obj.header, 0)
-        self.allocations += 1
-        self.bytes_allocated += size
-        if self._telemetry_on:
-            self._m_allocations.inc(
-                1, site="%s@%d" % (site.method.qualified_name, site.bci)
-            )
-            self._m_alloc_bytes.inc(size)
-        if self._rec_alloc is not None:
-            self._rec_alloc(
-                "vm/alloc",
-                category="alloc",
-                tid=thread.thread_id,
-                site=site.site_id,
-                size=size,
-                context=context,
-            )
-        return obj
-
-    def _allocate_fast(
-        self,
-        thread: SimThread,
-        site: AllocSite,
-        size: int,
-        death_time_ns: float,
-        gen_hint: int = 0,
-    ) -> SimObject:
-        """== :meth:`allocate` with ``charge_mutator``/``charge_profiling``
-        inlined and the overhead factor read once per call (nothing
-        between the two charges can change it)."""
-        clock_advance = self.clock.advance_mutator
-        factor = self.collector.mutator_overhead_factor
-        clock_advance(self.flags.alloc_base_ns * factor)
-        context = 0
-        sampled = True
-        profiler = self.profiler
-        if site.site_id != 0:
-            context = profiler.allocation_context(thread, site)
-            if context:
-                sampled = profiler.sample_allocation(site)
-                tax = (
-                    profiler.alloc_profile_ns
-                    if sampled
-                    else profiler.alloc_profile_ns * 0.15
-                )
-                if tax:
-                    self.profiling_tax_ns += tax
-                    if self._telemetry_on:
-                        self._m_profiling_tax.inc(tax)
-                    clock_advance(tax * factor)
-        obj = self.collector.allocate(size, context, death_time_ns, gen_hint)
-        if context:
-            if sampled:
-                profiler.on_allocation(context, obj)
             else:
                 if self.verifier.enabled:
                     self.verifier.on_context_install(thread, obj, 0)

@@ -68,7 +68,8 @@ class HttpFrontend:
 
     @property
     def bound_port(self) -> int:
-        assert self._server is not None, "frontend not started"
+        if self._server is None:
+            raise RuntimeError("frontend not started")
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self, reap_interval_s: Optional[float] = None) -> None:
@@ -85,7 +86,8 @@ class HttpFrontend:
         await self.app.shutdown()
 
     async def serve_forever(self) -> None:
-        assert self._server is not None
+        if self._server is None:
+            raise RuntimeError("frontend not started")
         await self._server.serve_forever()
 
     # ----------------------------------------------------------------- codec

@@ -95,7 +95,8 @@ class HttpClient:
 
     def __init__(self, base_url: str) -> None:
         split = urlsplit(base_url)
-        assert split.hostname is not None and split.port is not None, base_url
+        if split.hostname is None or split.port is None:
+            raise ValueError("URL needs a host and a port: %r" % base_url)
         self.host = split.hostname
         self.port = split.port
 

@@ -127,14 +127,6 @@ class Histogram:
         """Per-bucket (non-cumulative) counts, overflow last."""
         return list(self._counts.get(_key(labels), [0] * (len(self.buckets) + 1)))
 
-    def total_counts(self) -> List[int]:
-        """Per-bucket counts summed across every label combination."""
-        totals = [0] * (len(self.buckets) + 1)
-        for counts in self._counts.values():
-            for i, count in enumerate(counts):
-                totals[i] += count
-        return totals
-
     def sum(self, **labels) -> float:
         return self._sums.get(_key(labels), 0.0)
 

@@ -649,7 +649,8 @@ class AdversarialWorkload(Workload):
     # -- operations --------------------------------------------------------------
 
     def run_op(self, op_index: int) -> None:
-        assert self.vm is not None
+        if self.vm is None:
+            raise RuntimeError("build() must run first")
         genome = self.genome
         thread = self.threads[op_index % len(self.threads)]
         burst = 0

@@ -219,7 +219,8 @@ class DaCapoWorkload(Workload):
     # -- operations --------------------------------------------------------------------
 
     def run_op(self, op_index: int) -> None:
-        assert self.vm is not None
+        if self.vm is None:
+            raise RuntimeError("build() must run first")
         spec = self.spec
         thread = self.threads[op_index % len(self.threads)]
         breadth = min(len(self.services), 16)

@@ -186,7 +186,8 @@ class GraphChiWorkload(Workload):
     # -- operations --------------------------------------------------------------------
 
     def run_op(self, op_index: int) -> None:
-        assert self.vm is not None
+        if self.vm is None:
+            raise RuntimeError("build() must run first")
         thread = self.threads[op_index % len(self.threads)]
 
         if self.current_shard is None:

@@ -296,7 +296,8 @@ class CassandraWorkload(Workload):
     # -- operations --------------------------------------------------------------------
 
     def run_op(self, op_index: int) -> None:
-        assert self.vm is not None
+        if self.vm is None:
+            raise RuntimeError("build() must run first")
         thread = self.threads[op_index % len(self.threads)]
         op = self.op_chooser.next()
         key = self.key_chooser.next()

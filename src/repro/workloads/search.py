@@ -206,7 +206,8 @@ class LuceneWorkload(Workload):
     # -- operations --------------------------------------------------------------------
 
     def run_op(self, op_index: int) -> None:
-        assert self.vm is not None
+        if self.vm is None:
+            raise RuntimeError("build() must run first")
         thread = self.threads[op_index % len(self.threads)]
         if self.rng.random() < self.write_fraction:
             terms = max(4, int(self.rng.gauss(self.avg_doc_terms, 4)))

@@ -111,7 +111,8 @@ class PhaseShiftWorkload(Workload):
     # -- operations --------------------------------------------------------------------
 
     def run_op(self, op_index: int) -> None:
-        assert self.vm is not None
+        if self.vm is None:
+            raise RuntimeError("build() must run first")
         if op_index == self.shift_at_op:
             self.phase = 2
         self.vm.run(self.threads[0], self.m_handle)

@@ -242,7 +242,8 @@ class TracedWorkload(Workload):
     # -- operations --------------------------------------------------------------
 
     def run_op(self, op_index: int) -> None:
-        assert self.vm is not None
+        if self.vm is None:
+            raise RuntimeError("build() must run first")
         thread = self.threads[op_index % len(self.threads)]
         # build the resident set across the first ~1000 operations
         resident_quota = 0

@@ -17,10 +17,7 @@ import pytest
 from repro import fastpath
 
 #: the process-ambient switches tests are allowed to mutate
-_GUARDED_ENV = (
-    "ROLP_BACKEND",
-    "ROLP_FLIGHT_RECORDER",
-)
+_GUARDED_ENV = ("ROLP_BACKEND",)
 
 
 @pytest.fixture(autouse=True)

@@ -22,7 +22,6 @@ from repro.bench.runner import Runner
 def tiny_scale(monkeypatch, tmp_path):
     monkeypatch.setenv("ROLP_BENCH_SCALE", "0.02")
     monkeypatch.setenv("ROLP_BENCH_CACHE_DIR", str(tmp_path / "cell-cache"))
-    monkeypatch.delenv("ROLP_FLIGHT_RECORDER", raising=False)
 
 
 def _pause(start_ns, duration_ms, contributions, kind="young"):

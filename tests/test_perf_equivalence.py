@@ -103,7 +103,7 @@ class TestKernelEquivalence:
                 ), name
 
     def test_repeat_reports_median_and_cv(self):
-        result = perf.run_kernel("header", SEED, 2_000, "fast", repeat=3)
+        result = perf.run_kernel("survivor", SEED, 2_048, "fast", repeat=3)
         assert result["repeat"] == 3
         assert len(result["ns_per_op_runs"]) == 3
         assert result["ns_per_op"] == sorted(result["ns_per_op_runs"])[1]

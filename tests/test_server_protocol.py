@@ -394,6 +394,16 @@ class TestErrorEnvelopes:
                 400,
                 "invalid-params",
             )
+            # a wall-clock timing is no pure function of (cell, base
+            # seed), so the perf kernels are not a job kind
+            perf_params = {"kernel": "alloc", "ops": 2000, "backend": "reference", "repeat": 1}
+            check_error(
+                await client.post(
+                    "/v1/sessions/%s/run" % sid, {"kind": "perf_kernel", "params": perf_params}
+                ),
+                400,
+                "unknown-kind",
+            )
             await app.shutdown()
 
         run(scenario())
@@ -483,6 +493,16 @@ class TestErrorEnvelopes:
 
 class TestHttpFrontend:
     """One TCP pass over the real codec; everything else runs in-process."""
+
+    def test_misuse_raises_instead_of_asserting(self):
+        frontend = HttpFrontend(make_app())
+        with pytest.raises(RuntimeError, match="not started"):
+            frontend.bound_port
+        with pytest.raises(RuntimeError, match="not started"):
+            run(frontend.serve_forever())
+        for url in ("http://127.0.0.1", "http://:8413", "127.0.0.1:8413"):
+            with pytest.raises(ValueError):
+                HttpClient(url)
 
     def test_round_trip_and_wire_errors(self):
         async def scenario():

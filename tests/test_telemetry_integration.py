@@ -28,7 +28,7 @@ class TestWorkloadTrace:
         session, result, workload = run_traced()
         # the "rolp" setup runs on the NG2C collector under the hood
         gc_name = workload.vm.collector.name
-        spans = [e for e in session.sink.events if e.name.startswith("gc/")]
+        spans = [e for e in session.sink.events() if e.name.startswith("gc/")]
         assert len(spans) == len(result.pauses)
         by_start = {e.ts_ns: e for e in spans}
         for pause in result.pauses:
@@ -39,7 +39,7 @@ class TestWorkloadTrace:
 
     def test_jit_compile_instants_present(self):
         session, _, workload = run_traced()
-        compiles = [e for e in session.sink.events if e.name == "jit/compile"]
+        compiles = [e for e in session.sink.events() if e.name == "jit/compile"]
         assert len(compiles) == len(workload.vm.jit.compiled_methods)
         assert all(e.phase == "i" for e in compiles)
 
@@ -57,7 +57,7 @@ class TestWorkloadTrace:
 
     def test_rolp_events_present(self):
         session, _, workload = run_traced()
-        names = {e.name for e in session.sink.events}
+        names = {e.name for e in session.sink.events()}
         assert "rolp/inference" in names
         instrumented = session.metrics.gauge("rolp_instrumented_methods")
         assert instrumented.value() == len(workload.vm.profiler.instrumented_methods)
@@ -101,7 +101,7 @@ class TestComponentEvents:
         assert metrics.counter("vm_bias_locks_total").total() == 1
         assert metrics.counter("vm_bias_contexts_clobbered_total").total() == 1
         assert metrics.counter("vm_bias_revocations_total").total() == 1
-        (event,) = [e for e in telemetry.tracer.events if e.name == "vm/bias-revocation"]
+        (event,) = [e for e in telemetry.tracer.events() if e.name == "vm/bias-revocation"]
         assert event.category == "vm"
 
     def test_conflict_resolver_events(self):
@@ -121,10 +121,10 @@ class TestComponentEvents:
         assert metrics.counter("rolp_conflicts_total").total() == 1
         assert metrics.counter("rolp_conflicts_resolved_total").total() == 1
         assert metrics.counter("rolp_conflict_subsets_tried_total").total() >= 1
-        names = [e.name for e in telemetry.tracer.events]
+        names = [e.name for e in telemetry.tracer.events()]
         assert "rolp/conflict-start" in names
         resolved = [
-            e for e in telemetry.tracer.events if e.name == "rolp/conflict-resolved"
+            e for e in telemetry.tracer.events() if e.name == "rolp/conflict-resolved"
         ]
         assert len(resolved) == 1
         assert resolved[0].args["site_id"] == 1

@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.bench.workload_registry import all_workload_names, make_big_workload
 from repro.core import RolpConfig
 from repro.runtime import Method
 from repro.workloads.base import RunResult, Workload, run_workload
+from repro.workloads.dacapo import DaCapoWorkload, get_spec
+from repro.workloads.shifting import PhaseShiftWorkload
 
 
 class TinyWorkload(Workload):
@@ -42,6 +45,22 @@ class TestWorkloadBase:
     def test_make_thread_requires_build(self):
         with pytest.raises(RuntimeError, match="build\\(\\) must run first"):
             TinyWorkload().make_thread("x")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda n=name: make_big_workload(n), id=name)
+            for name in all_workload_names()
+        ]
+        + [
+            pytest.param(lambda: DaCapoWorkload(get_spec("avrora")), id="dacapo-avrora"),
+            pytest.param(PhaseShiftWorkload, id="phase-shift"),
+        ],
+    )
+    def test_run_op_requires_build(self, make):
+        """An explicit raise, not an assert: it must hold under -O too."""
+        with pytest.raises(RuntimeError, match="build\\(\\) must run first"):
+            make().run_op(0)
 
     def test_package_filter_from_declared_packages(self):
         workload = TinyWorkload()
