@@ -274,13 +274,32 @@ class ResultCache:
         digest = hashlib.sha256(self.key_material(cell, seed).encode()).hexdigest()
         return os.path.join(self.directory, cell.kind, digest + ".pkl")
 
+    #: what reading a missing, truncated, corrupt or foreign entry can
+    #: raise: unpickling resolves classes by name (``ImportError`` for an
+    #: absent module, ``AttributeError`` for an absent class) and runs
+    #: their constructors, which may raise anything on bad arguments
+    _UNREADABLE = (
+        OSError,
+        EOFError,
+        pickle.UnpicklingError,
+        ImportError,
+        AttributeError,
+        ValueError,
+        IndexError,
+        TypeError,
+        OverflowError,
+    )
+
     def load(self, cell: Cell, seed: int) -> Tuple[bool, object]:
-        """``(hit, result)`` — unreadable/corrupt entries count as misses."""
+        """``(hit, result)`` — unreadable, corrupt and foreign entries
+        count as misses."""
         path = self.path(cell, seed)
         try:
             with open(path, "rb") as handle:
                 entry = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+        except self._UNREADABLE:
+            return False, None
+        if not isinstance(entry, dict) or "result" not in entry:
             return False, None
         if entry.get("key_material") != self.key_material(cell, seed):
             return False, None

@@ -46,7 +46,10 @@ class G1Collector(GenerationalCollector):
         self._bytes_at_forced_cycle = 0
 
     def _maybe_collect(self) -> None:
-        super()._maybe_collect()
+        # The generational eden trigger first, called directly rather
+        # than through super(): this runs on every allocation.
+        if self._eden_full():
+            self.collect_young()
         # Eden pressure is not the only trigger: when allocation flows
         # straight into old/dynamic spaces (heavy pretenuring), the
         # cycle machinery — old reclamation, and with ROLP the

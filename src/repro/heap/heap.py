@@ -172,11 +172,12 @@ class RegionHeap:
         """Allocate ``obj`` into ``space`` (bump pointer; claims regions
         as needed).  Humongous objects get dedicated regions.
         """
-        if obj.size > self._humongous_bytes:  # == is_humongous(obj.size)
+        size = obj.size
+        if size > self._humongous_bytes:  # == is_humongous(size)
             return self._allocate_humongous(obj)
         key = (space, gen)
         region = self._alloc_region.get(key)
-        if region is None or not region.has_room(obj.size):
+        if region is None or region.used + size > region.capacity:  # == not has_room
             region = self.claim_region(space, gen)
             self._alloc_region[key] = region
         region.allocate(obj)

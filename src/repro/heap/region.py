@@ -29,6 +29,11 @@ class Space(enum.Enum):
     #: NG2C dynamic generation; the region additionally carries ``gen``.
     DYNAMIC = "dynamic"
 
+    # Members are singletons compared by identity, so identity hashing
+    # is consistent with equality; it replaces Enum's Python-level
+    # ``__hash__`` on the per-allocation ``(space, gen)`` lookups.
+    __hash__ = object.__hash__
+
 
 class Region:
     """One fixed-size heap region."""
@@ -52,14 +57,15 @@ class Region:
 
     def allocate(self, obj: SimObject) -> None:
         """Bump-allocate ``obj`` into this region."""
-        if not self.has_room(obj.size):
+        size = obj.size
+        if self.used + size > self.capacity:  # == not has_room(size)
             raise MemoryError(
                 "region %d: %d bytes requested, %d free"
-                % (self.index, obj.size, self.capacity - self.used)
+                % (self.index, size, self.capacity - self.used)
             )
         self.objects.append(obj)
         obj.region = self
-        self.used += obj.size
+        self.used += size
 
     # -- accounting -----------------------------------------------------------
 

@@ -25,38 +25,38 @@ class SimClock:
     def __init__(self, start_ns: int = 0) -> None:
         if start_ns < 0:
             raise ValueError("clock cannot start before time zero")
-        self._now_ns = int(start_ns)
+        #: current simulated time.  A plain attribute: the hot paths
+        #: advance it in place, and every writer must keep it equal to
+        #: ``start_ns + total_mutator_ns + total_pause_ns``.
+        self.now_ns = int(start_ns)
         #: cumulative time spent inside stop-the-world pauses
         self.total_pause_ns = 0
         #: cumulative time spent running application (mutator) code
         self.total_mutator_ns = 0
 
     @property
-    def now_ns(self) -> int:
-        return self._now_ns
-
-    @property
     def now_ms(self) -> float:
-        return self._now_ns / NS_PER_MS
+        return self.now_ns / NS_PER_MS
 
     @property
     def now_s(self) -> float:
-        return self._now_ns / NS_PER_S
+        return self.now_ns / NS_PER_S
 
     def advance_mutator(self, ns: float) -> None:
-        """Advance the clock by mutator work."""
-        self._advance(ns)
-        self.total_mutator_ns += int(ns)
-
-    def advance_pause(self, ns: float) -> None:
-        """Advance the clock by a stop-the-world pause."""
-        self._advance(ns)
-        self.total_pause_ns += int(ns)
-
-    def _advance(self, ns: float) -> None:
+        """Advance the clock by mutator work (truncated to whole ns)."""
         if ns < 0:
             raise ValueError("time cannot move backwards (got %r ns)" % ns)
-        self._now_ns += int(ns)
+        ns = int(ns)
+        self.now_ns += ns
+        self.total_mutator_ns += ns
+
+    def advance_pause(self, ns: float) -> None:
+        """Advance the clock by a stop-the-world pause (truncated to whole ns)."""
+        if ns < 0:
+            raise ValueError("time cannot move backwards (got %r ns)" % ns)
+        ns = int(ns)
+        self.now_ns += ns
+        self.total_pause_ns += ns
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SimClock(now=%.3f ms, paused=%.3f ms)" % (

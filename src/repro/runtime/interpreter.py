@@ -151,18 +151,37 @@ class FastExecutionContext(ExecutionContext):
 
     Selected by :class:`repro.runtime.vm.JavaVM` when fast paths are
     enabled (see :mod:`repro.fastpath`).  The ``call``/``alloc``/``work``
-    bodies inline the site get-or-create, frame push/pop, invocation
-    counting and clock charges of the reference implementation; every
-    observable effect (clock advances, RNG draws, counters, stack-state
+    bodies inline the site lookup, frame push/pop, invocation counting
+    and clock charges of the reference implementation; every observable
+    effect (clock advances, RNG draws, counters, stack-state
     transitions, exception semantics) is event-for-event identical — the
     differential perf kernels and the equivalence suite pin this.
+
+    Four rules keep it so (docs/performance.md, *Hot-path rules*): each
+    clock charge is truncated on its own, as
+    :meth:`SimClock.advance_mutator` truncates it; sites are created only
+    by :func:`call_site_of`/:func:`alloc_site_of`, whose order fixes the
+    JIT's site ids and increment draws; per-VM constants are bound at
+    construction; late site registration is tried only for instrumented
+    methods, the only ones the JIT registers.
     """
 
-    __slots__ = ()
+    __slots__ = ("_clock", "_factor", "_call_ns")
+
+    def __init__(self, vm: "repro.runtime.vm.JavaVM", thread: SimThread) -> None:  # noqa: F821
+        super().__init__(vm, thread)
+        self._clock = vm.clock
+        self._factor = vm.collector.mutator_overhead_factor
+        self._call_ns = int(DEFAULT_CALL_OVERHEAD_NS * self._factor)
 
     def work(self, ns: float) -> None:
-        vm = self.vm
-        vm.clock.advance_mutator(ns * vm.collector.mutator_overhead_factor)
+        ns *= self._factor
+        if ns < 0:
+            raise ValueError("time cannot move backwards (got %r ns)" % ns)
+        ns = int(ns)
+        clock = self._clock
+        clock.now_ns += ns
+        clock.total_mutator_ns += ns
 
     def call(self, bci: int, method: Method, *args: Any, **kwargs: Any) -> Any:
         vm = self.vm
@@ -173,11 +192,13 @@ class FastExecutionContext(ExecutionContext):
         increment = 0
         if frames:
             caller = frames[-1].method
-            site = call_site_of(caller, bci)
+            site = caller.call_sites.get(bci)
+            if site is None:
+                site = call_site_of(caller, bci)
             site.targets.add(method)
             site.invocations += 1
             if site.increment == 0:
-                if caller.compiled and not site.inlined:
+                if caller.instrumented and not site.inlined:
                     vm.jit.register_late_call_site(site)
             # Uninstrumented sites return 0 from call_profiling_increment
             # without charging anything; skip the call entirely.
@@ -188,9 +209,9 @@ class FastExecutionContext(ExecutionContext):
         method.invocations += 1
         if not method.compiled and method.invocations >= jit.compile_threshold:
             jit.compile(method, vm.profiler)
-        vm.clock.advance_mutator(
-            DEFAULT_CALL_OVERHEAD_NS * vm.collector.mutator_overhead_factor
-        )
+        clock = self._clock
+        clock.now_ns += self._call_ns
+        clock.total_mutator_ns += self._call_ns
 
         frame = Frame(method, site)
         if increment:
@@ -223,11 +244,13 @@ class FastExecutionContext(ExecutionContext):
         if not frames:
             raise RuntimeError("allocation outside any method frame")
         method = frames[-1].method
-        site = alloc_site_of(method, bci)
+        site = method.alloc_sites.get(bci)
+        if site is None:
+            site = alloc_site_of(method, bci)
         site.alloc_count += 1
         vm = self.vm
-        if method.compiled and site.site_id == 0:
+        if method.instrumented and site.site_id == 0:
             vm.jit.register_late_alloc_site(site, vm.profiler)
 
-        death = IMMORTAL if lives_ns is None else vm.clock.now_ns + lives_ns
+        death = IMMORTAL if lives_ns is None else self._clock.now_ns + lives_ns
         return vm.allocate(thread, site, size, death, gen_hint)

@@ -50,6 +50,8 @@ class VMFlags:
     verify_level: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.alloc_base_ns < 0:
+            raise ValueError("alloc_base_ns cannot be negative")
         if self.call_profiling_mode not in CALL_PROFILING_MODES:
             raise ValueError(
                 "call_profiling_mode must be one of %s" % (CALL_PROFILING_MODES,)
@@ -129,6 +131,11 @@ class JavaVM:
         #: method bodies through the inlined context twin
         self.fast_paths = fast_paths_enabled()
         self._ctx_class = FastExecutionContext if self.fast_paths else ExecutionContext
+        #: the collector's barrier tax on mutator work, and the per-
+        #: allocation base charge scaled by it and truncated once, as
+        #: each advance_mutator charge truncates
+        self._mutator_factor = collector.mutator_overhead_factor
+        self._alloc_charge_ns = int(self.flags.alloc_base_ns * self._mutator_factor)
         collector.attach_vm(self)
 
     # -- threads ------------------------------------------------------------------
@@ -156,14 +163,15 @@ class JavaVM:
     # -- time / cost accounting -----------------------------------------------------
 
     def charge_mutator(self, ns: float) -> None:
-        self.clock.advance_mutator(ns * self.collector.mutator_overhead_factor)
+        self.clock.advance_mutator(ns * self._mutator_factor)
 
     def charge_profiling(self, ns: float) -> None:
         """Mutator cost attributable to profiling instructions."""
         if ns:
             self.profiling_tax_ns += ns
-            self._m_profiling_tax.inc(ns)
-            self.charge_mutator(ns)
+            if self._telemetry_on:
+                self._m_profiling_tax.inc(ns)
+            self.clock.advance_mutator(ns * self._mutator_factor)
 
     # -- call-site profiling (Figure 6's four levels) -----------------------------------
 
@@ -174,7 +182,7 @@ class JavaVM:
         Returns 0 when the stack state must not be updated for this call
         (profiling off / fast branch taken).
         """
-        if not site.instrumented:
+        if site.increment == 0 or site.inlined:  # == not site.instrumented
             return 0
         mode = self.flags.call_profiling_mode
         profiler = self.profiler
@@ -205,10 +213,12 @@ class JavaVM:
         gen_hint: int = 0,
     ) -> SimObject:
         """Allocate through the collector, resolving the ROLP context."""
-        self.charge_mutator(self.flags.alloc_base_ns)
+        clock = self.clock
+        clock.now_ns += self._alloc_charge_ns
+        clock.total_mutator_ns += self._alloc_charge_ns
         context = 0
         sampled = True
-        if site.profiled:
+        if site.site_id:  # == site.profiled
             context = self.profiler.allocation_context(thread, site)
             if context:
                 sampled = self.profiler.sample_allocation(site)

@@ -152,6 +152,45 @@ class TestResultCache:
         hit, _ = cache.load(cell, seed)
         assert not hit
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param(b"\x80\x09N.", id="unsupported-protocol-ValueError"),
+            pytest.param(b"c_operator\ngetitem\n(]K\x00tR.", id="constructor-IndexError"),
+            pytest.param(b"N)R.", id="constructor-TypeError"),
+            pytest.param(
+                b"\x80\x04\x95" + b"\xff" * 8 + b"N.", id="frame-length-OverflowError"
+            ),
+            pytest.param(b"cno_such_module_for_rolp\nThing\n.", id="absent-module"),
+        ],
+    )
+    def test_unloadable_entry_is_a_miss(self, tmp_path, payload):
+        """Unpickling failures beyond a plain corrupt stream are misses
+        too, not exceptions out of the runner."""
+        cache = ResultCache(str(tmp_path))
+        cell, seed = echo("unloadable"), 1
+        cache.store(cell, seed, "ok")
+        with open(cache.path(cell, seed), "wb") as handle:
+            handle.write(payload)
+        assert cache.load(cell, seed) == (False, None)
+
+    def test_non_dict_entry_is_a_miss(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        cell, seed = echo("foreign-list"), 1
+        cache.store(cell, seed, "ok")
+        with open(cache.path(cell, seed), "wb") as handle:
+            pickle.dump(["not", "an", "entry"], handle)
+        assert cache.load(cell, seed) == (False, None)
+
+    def test_entry_without_result_is_a_miss(self, tmp_path):
+        """Matching key material alone does not make a hit."""
+        cache = ResultCache(str(tmp_path))
+        cell, seed = echo("no-result"), 1
+        cache.store(cell, seed, "ok")
+        with open(cache.path(cell, seed), "wb") as handle:
+            pickle.dump({"key_material": cache.key_material(cell, seed)}, handle)
+        assert cache.load(cell, seed) == (False, None)
+
     def test_stale_key_material_is_a_miss(self, tmp_path):
         """An entry written under other key material (e.g. an older
         CACHE_VERSION) is rejected even when the file path collides."""

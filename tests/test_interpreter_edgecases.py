@@ -2,7 +2,8 @@
 exception unwinds that cross allocation sites (with and without the
 rethrow hook), 16-bit stack-state wraparound under deeply instrumented
 call chains, the OSR corruption pulse, allocation outside any frame,
-and ``loop()`` clock accounting.
+``loop()`` and ``work()`` clock accounting, and agreement of the two
+backends' clocks under a non-integer mutator factor (ZGC).
 
 Every test runs against both execution backends, selected the way
 production selects them — via the process-global backend switch at VM
@@ -14,10 +15,14 @@ construction.  The reference backend runs bodies through
 import pytest
 
 from repro import build_vm
+from repro.core import RolpConfig, RolpProfiler
 from repro.fastpath import BACKENDS, set_backend
+from repro.gc import ZGCCollector
+from repro.heap import BandwidthModel, RegionHeap
 from repro.heap.header import MASK_16
-from repro.runtime import Method, VMFlags
+from repro.runtime import JavaVM, Method, VMFlags
 from repro.runtime.interpreter import ExecutionContext, FastExecutionContext
+from repro.workloads.dacapo import DaCapoWorkload, get_spec
 
 
 @pytest.fixture(params=BACKENDS)
@@ -250,3 +255,80 @@ class TestLoopClockAccounting:
         # osr_eligible defaults to False, so no OSR corruption is modeled
         vm.run(thread, Method("looper", "app.Edge", body, bytecode_size=100))
         assert thread.stack_state == 0
+
+
+class TestWorkClockAccounting:
+    def test_each_charge_truncates_on_its_own_under_zgc(self, exec_backend):
+        vm, _ = build_vm("zgc", heap_mb=16)
+        deltas = {}
+
+        def body(ctx):
+            before = vm.clock.now_ns
+            ctx.alloc(1, 64)
+            deltas["alloc"] = vm.clock.now_ns - before
+            before = vm.clock.now_ns
+            ctx.work(10)
+            deltas["work"] = vm.clock.now_ns - before
+
+        vm.run(vm.spawn_thread(), Method("charged", "app.Edge", body, bytecode_size=100))
+        # 1.22 x the 30 ns allocation base, 10 ns of work and the 20 ns
+        # call charge: 36.6, 12.2 and 24.4 ns, each truncated on its own
+        assert deltas == {"alloc": 36, "work": 12}
+        assert vm.clock.now_ns == vm.clock.total_mutator_ns == 24 + 36 + 12
+
+    def test_negative_work_is_refused_and_leaves_the_clock(self, exec_backend):
+        vm = make_vm()
+        ctx = vm.context(vm.spawn_thread())
+        ctx.work(100)
+        now_ns, mutator_ns = vm.clock.now_ns, vm.clock.total_mutator_ns
+        with pytest.raises(ValueError, match="cannot move backwards"):
+            ctx.work(-1)
+        assert vm.clock.now_ns == now_ns
+        assert vm.clock.total_mutator_ns == mutator_ns
+
+
+def run_dacapo_on_zgc(backend, mode, operations=200):
+    """A call-heavy DaCapo calibration with ROLP's profiler attached, on
+    ZGC: its 1.22 barrier factor leaves a fraction on every call,
+    allocation, work and profiling charge, so the clock depends on each
+    charge being truncated on its own."""
+    previous = set_backend(backend)
+    try:
+        workload = DaCapoWorkload(get_spec("jython"), seed=11)
+        # a 256 KB heap of 32 KB regions, small enough for two ZGC cycles
+        heap = RegionHeap(256 << 10, 32 << 10)
+        vm = JavaVM(
+            ZGCCollector(heap, BandwidthModel()),
+            RolpProfiler(RolpConfig()),
+            VMFlags(call_profiling_mode=mode),
+        )
+        workload.build(vm)
+        for op_index in range(operations):
+            workload.run_op(op_index)
+    finally:
+        set_backend(previous)
+    return vm
+
+
+class TestNonIntegerMutatorFactor:
+    @pytest.mark.parametrize("mode", ["real", "slow"])
+    def test_backends_agree_on_zgc(self, mode):
+        observed = {}
+        for backend in BACKENDS:
+            vm = run_dacapo_on_zgc(backend, mode)
+            clock = vm.clock
+            assert clock.now_ns == clock.total_mutator_ns + clock.total_pause_ns
+            observed[backend] = {
+                "now_ns": clock.now_ns,
+                "total_mutator_ns": clock.total_mutator_ns,
+                "total_pause_ns": clock.total_pause_ns,
+                "profiling_tax_ns": repr(vm.profiling_tax_ns),
+                "allocations": vm.allocations,
+                "bytes_allocated": vm.bytes_allocated,
+            }
+        assert observed["reference"] == observed["fast"]
+        # non-vacuous: the factor is fractional and every kind of charge ran
+        assert vm.collector.mutator_overhead_factor % 1
+        assert vm.profiling_tax_ns > 0
+        assert vm.allocations > 0
+        assert vm.collector.pauses

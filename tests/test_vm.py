@@ -40,6 +40,11 @@ class TestFlags:
         for mode in CALL_PROFILING_MODES:
             assert VMFlags(call_profiling_mode=mode).call_profiling_mode == mode
 
+    def test_negative_alloc_base_rejected(self):
+        # the VM pre-scales this charge once, so it is checked once too
+        with pytest.raises(ValueError, match="alloc_base_ns"):
+            VMFlags(alloc_base_ns=-1.0)
+
 
 class TestCallProfilingModes:
     def test_none_mode_charges_nothing(self):
