@@ -243,7 +243,7 @@ class ResultCache:
     derived seed and ``ROLP_BENCH_SCALE`` — anything else (code
     changes) is handled by bumping :data:`CACHE_VERSION`.  Writes are
     atomic (tmp file + rename) so an interrupted run never leaves a
-    truncated entry behind.
+    truncated entry behind, and a write that fails removes its tmp file.
     """
 
     def __init__(self, directory: str) -> None:
@@ -309,21 +309,30 @@ class ResultCache:
         path = self.path(cell, seed)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = path + ".tmp.%d" % os.getpid()
-        with open(tmp, "wb") as handle:
-            pickle.dump(
-                {
-                    "key_material": self.key_material(cell, seed),
-                    "cell_key": cell.key,
-                    # fleet identity: the id every artifact of this cell
-                    # carries (load() ignores it, so old entries remain
-                    # valid — it is provenance, not key material)
-                    "trace_id": derive_trace_id(cell.key, seed),
-                    "result": result,
-                },
-                handle,
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as handle:
+                pickle.dump(
+                    {
+                        "key_material": self.key_material(cell, seed),
+                        "cell_key": cell.key,
+                        # fleet identity: the id every artifact of this cell
+                        # carries (load() ignores it, so old entries remain
+                        # valid — it is provenance, not key material)
+                        "trace_id": derive_trace_id(cell.key, seed),
+                        "result": result,
+                    },
+                    handle,
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                )
+            os.replace(tmp, path)
+        except BaseException:
+            # an unpicklable result, a full disk or an interrupt must not
+            # leave the partial temp file behind
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+            raise
 
 
 # ------------------------------------------------------------------------- runner
@@ -417,7 +426,9 @@ class Runner:
         started = time.time()
         pending: List[Cell] = []  # unique cells needing execution, in order
         for cell in cells:
-            self.trace_ids.setdefault(cell.key, self.trace_id_for(cell))
+            key = cell.key
+            if key not in self.trace_ids:
+                self.trace_ids[key] = self.trace_id_for(cell)
             if cell in self._memo or cell in pending:
                 continue
             pending.append(cell)
@@ -453,18 +464,27 @@ class Runner:
         return [self._memo[cell] for cell in cells]
 
     async def run_async(self, cells: Sequence[Cell], executor=None) -> List[object]:
-        """Event-loop-friendly :meth:`run`: executes the cells on
-        ``executor`` (or the loop's default) so simulations never block
+        """Event-loop-friendly :meth:`run`.
+
+        A batch whose every cell is already memoized is answered inline,
+        on the calling loop thread: it runs no simulation and reads no
+        file, so handing it to a thread would cost more than the dict
+        lookups it does.  Any other batch runs on ``executor`` (or the
+        loop's default), so simulations and disk-cache reads never block
         the loop that is multiplexing sessions.
 
         The runner itself is not thread-safe; callers that share one
         runner across tasks (the fleet server's batcher) must serialize
-        calls — a single-worker executor does exactly that.
+        calls, awaiting each before making the next, so that the inline
+        path never overlaps a batch still running on the executor.
         """
+        cells = list(cells)
+        if all(cell in self._memo for cell in cells):
+            return self.run(cells)
         import asyncio
 
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(executor, self.run, list(cells))
+        return await loop.run_in_executor(executor, self.run, cells)
 
     def _run_inline(self, cells: Sequence[Cell], total: int) -> None:
         for index, cell in enumerate(cells, 1):

@@ -1,10 +1,16 @@
 """Bounded admission queue + coalescing batch executor.
 
-Small jobs are expensive to run one-at-a-time (each ``Runner.run`` call
-crosses into an executor thread and possibly a worker pool), so the
-server admits jobs into a bounded queue and a single worker task drains
-them in *batches* of up to ``max_batch``, handing each batch to one
-:meth:`repro.bench.runner.Runner.run_async` call.  Coalescing changes
+Small jobs are expensive to run one-at-a-time (a ``Runner.run`` call
+that must simulate or read the disk cache crosses into an executor
+thread and possibly a worker pool), so the server admits jobs into a
+bounded queue and a single worker task drains them in *batches* of up
+to ``max_batch``, handing each batch to one
+:meth:`repro.bench.runner.Runner.run_async` call.  A batch the runner's
+memo already holds entirely is answered on the loop thread without that
+crossing: the worker awaits each batch before taking the next, so the
+runner is still used by one thread at a time, and such a batch holds
+the loop for at most ``max_batch`` memo lookups (a run of them, drained
+back to back, for at most ``queue_limit``).  Coalescing changes
 throughput only, never results: cells are content-addressed (kind +
 params + derived seed), the runner memo/cache deduplicates identical
 cells inside and across batches, and the per-job payload is a pure
@@ -84,7 +90,9 @@ class JobBatcher:
         self._paused = False
         self._stopped = False
         self._worker_task: Optional[asyncio.Task] = None
-        # single worker thread: serializes every Runner.run call (the
+        # single worker thread for the batches that simulate or read the
+        # disk cache (memo-only batches never reach it); the worker task
+        # awaiting each batch is what serializes Runner.run calls (the
         # runner is not thread-safe); parallelism comes from the
         # runner's own --jobs worker pool inside each batch
         self._executor = ThreadPoolExecutor(

@@ -2,7 +2,10 @@
 identity, seed derivation, memoisation, the disk cache and the worker
 pool — all exercised through a cheap test-only cell kind."""
 
+import asyncio
 import pickle
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -42,6 +45,29 @@ def _reset_executions():
 
 def echo(tag, value=0):
     return make_cell("echo_test", tag=tag, value=value)
+
+
+class _Interrupting:
+    """Pickling it raises ``KeyboardInterrupt`` mid-write."""
+
+    def __reduce__(self):
+        raise KeyboardInterrupt
+
+
+class _RecordingExecutor(ThreadPoolExecutor):
+    """A one-thread executor that records every ``submit``."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.submitted = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submitted.append(args)
+        return super().submit(fn, *args, **kwargs)
+
+
+def _counts(stats):
+    return {name: value for name, value in stats.as_dict().items() if name != "elapsed_s"}
 
 
 class TestCellIdentity:
@@ -135,6 +161,47 @@ class TestMemoisation:
         assert [r["tag"] for r in results] == ["c", "a", "b"]
 
 
+class TestRunAsync:
+    def test_memoized_batch_never_reaches_the_executor(self):
+        """A batch the memo holds entirely is answered on the loop
+        thread, with the results and stats that run() gives it."""
+        runner = Runner()
+        runner.run([echo("a"), echo("b")])
+        batch = [echo("b"), echo("a"), echo("b")]
+        trace_ids = dict(runner.trace_ids)
+        before = _counts(runner.stats)
+        with _RecordingExecutor() as executor:
+            got = asyncio.run(runner.run_async(batch, executor))
+        after_async = _counts(runner.stats)
+        want = runner.run(batch)
+        after_run = _counts(runner.stats)
+        assert executor.submitted == []
+        assert _EXECUTED == ["a", "b"]
+        assert [id(result) for result in got] == [id(result) for result in want]
+        assert {name: after_async[name] - before[name] for name in before} == {
+            name: after_run[name] - after_async[name] for name in before
+        }
+        assert after_async["memo_hits"] - before["memo_hits"] == 3
+        assert runner.trace_ids == trace_ids
+
+    @pytest.mark.parametrize("held_by", ["nothing", "disk-cache"])
+    def test_batch_with_an_unmemoized_cell_is_submitted_once(self, tmp_path, held_by):
+        """One cell the memo lacks sends the whole batch to the executor,
+        whether it must be simulated or only read from the disk cache."""
+        cache = ResultCache(str(tmp_path))
+        if held_by == "disk-cache":
+            Runner(cache=cache).run([echo("new")])
+            del _EXECUTED[:]
+        runner = Runner(cache=cache)
+        runner.run([echo("old")])
+        with _RecordingExecutor() as executor:
+            results = asyncio.run(runner.run_async([echo("old"), echo("new")], executor))
+        assert len(executor.submitted) == 1
+        assert [result["tag"] for result in results] == ["old", "new"]
+        assert _EXECUTED == (["old", "new"] if held_by == "nothing" else ["old"])
+        assert runner.stats.cache_hits == (1 if held_by == "disk-cache" else 0)
+
+
 class TestResultCache:
     def test_round_trip(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -218,6 +285,25 @@ class TestResultCache:
         assert cache.load(cell, 1) == (True, "at 0.05")
         hit, _ = cache.load(cell, 2)
         assert not hit  # other seed
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            pytest.param(threading.Lock(), TypeError, id="unpicklable"),
+            pytest.param(_Interrupting(), KeyboardInterrupt, id="interrupt"),
+        ],
+    )
+    def test_failed_store_leaves_no_temp_file(self, tmp_path, bad, error):
+        """A write that fails part-way removes its temp file and re-raises
+        the original exception; the cell can still be stored afterwards."""
+        cache = ResultCache(str(tmp_path))
+        cell, seed = echo("failed-store"), 1
+        with pytest.raises(error):
+            cache.store(cell, seed, {"padding": "x" * 100_000, "bad": bad})
+        assert [p.name for p in tmp_path.rglob("*") if ".tmp." in p.name] == []
+        assert cache.load(cell, seed) == (False, None)
+        cache.store(cell, seed, {"answer": 42})
+        assert cache.load(cell, seed) == (True, {"answer": 42})
 
     def test_runner_warm_cache_performs_zero_simulations(self, tmp_path):
         cache = ResultCache(str(tmp_path))

@@ -258,3 +258,56 @@ class TestPayloadConstruction:
 
         job_a, job_b = run(scenario())
         assert job_a == job_b  # identical cell -> identical payload bytes
+
+
+class TestMemoAnsweredJobs:
+    def test_repeated_step_is_answered_without_the_executor(self):
+        """Two sessions with the same bindings ask for the same step
+        cell: the first job simulates it on the batcher's executor, the
+        second is answered from the runner's memo on the loop thread,
+        with the same bytes."""
+        cell = make_cell(
+            "session_step", workload="lucene", collector="g1", operations=OPS, step=0
+        )
+
+        async def scenario():
+            app = ServerApp(runner=Runner(jobs=1, cache=None))
+            executor = app.batcher._executor
+            submitted = []
+            run_async_calls = []
+            submit, run_async = executor.submit, app.runner.run_async
+
+            def recording_submit(fn, *args, **kwargs):
+                submitted.append(args)
+                return submit(fn, *args, **kwargs)
+
+            async def counting_run_async(cells, executor=None):
+                run_async_calls.append(list(cells))
+                return await run_async(cells, executor)
+
+            executor.submit = recording_submit
+            app.runner.run_async = counting_run_async
+            await app.startup()
+            client = TestClient(app)
+            bindings = {"workload": "lucene", "collector": "g1", "operations": OPS}
+            jobs, submits = [], []
+            for _ in range(2):
+                sid = (await client.post("/v1/sessions", bindings)).json()["session"]["id"]
+                response = await client.post("/v1/sessions/%s/step" % sid, {"ops": OPS})
+                assert response.status == 200
+                jobs.append(canonical_json(response.json()["job"]).encode())
+                submits.append(len(submitted))
+            counters = app.batcher.counters()
+            await app.shutdown()
+            return app, jobs, submits, counters, run_async_calls
+
+        app, jobs, submits, counters, run_async_calls = run(scenario())
+        assert submits == [1, 1]
+        (expected,) = expected_payloads([cell], app.base_seed)
+        assert jobs[0] == jobs[1] == canonical_json(expected).encode()
+        assert counters["accepted"] == counters["completed"] == 2
+        assert counters["failed"] == counters["abandoned"] == counters["rejected"] == 0
+        assert run_async_calls == [[cell], [cell]]
+        assert len(run_async_calls) == counters["batches"]
+        assert app.runner.stats.simulations == 1
+        assert app.runner.stats.memo_hits == 1
