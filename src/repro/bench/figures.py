@@ -27,7 +27,7 @@ from repro.metrics.report import (
     render_percentile_series,
     render_table,
 )
-from repro.workloads.dacapo import DACAPO_SPECS, DaCapoSpec, get_spec
+from repro.workloads.dacapo import DACAPO_SPECS, DaCapoSpec
 from repro.bench.config import (
     DACAPO_OVERHEAD_OPS,
     WARMUP_OPS,
@@ -40,7 +40,7 @@ from repro.bench.runner import (
     run_cells,
     shared_seed_scope,
 )
-from repro.bench.tables import _dacapo_time_cell, _run_dacapo
+from repro.bench.tables import _dacapo_time_cell
 from repro.bench.workload_registry import (
     BIG_WORKLOADS,
     big_workload_ops,
@@ -70,9 +70,9 @@ def figure6(
 
     Returns ``{benchmark: {mode: normalized execution time}}``.
     ``session`` (a :class:`repro.telemetry.TelemetrySession`) records a
-    trace/metrics track per run; the default records nothing.  The
-    timing cells are shared with Table 2's overhead simulation, so a
-    cached ``rolp-bench all`` runs each (benchmark, mode) pair once.
+    trace/metrics track per run; the default records nothing.  Table 2
+    and Figure 7 share the timing cells, so one runner (or a cached
+    ``rolp-bench all``) runs each (benchmark, mode) pair once.
     """
     operations = scaled_ops(DACAPO_OVERHEAD_OPS)
     specs = list(specs or DACAPO_SPECS)
@@ -84,8 +84,8 @@ def figure6(
     results = iter(run_cells(cells, runner, session))
     series: Dict[str, Dict[str, float]] = {}
     for spec in specs:
-        base_ns = next(results)
-        series[spec.name] = {mode: next(results) / base_ns for mode in FIG6_MODES}
+        base_ns = next(results)[0]
+        series[spec.name] = {mode: next(results)[0] / base_ns for mode in FIG6_MODES}
     return series
 
 
@@ -101,25 +101,6 @@ def render_figure6(series: Dict[str, Dict[str, float]]) -> str:
 
 # --------------------------------------------------------------------------- Figure 7
 
-@cell_kind("fig7_profile", track=lambda p: "fig7/%s/real" % p["benchmark"])
-def _fig7_cell(seed, telemetry, benchmark, operations):
-    """One profiled DaCapo run; returns the two inputs of the
-    worst-case conflict-resolution model."""
-    vm = _run_dacapo(
-        get_spec(benchmark),
-        "real",
-        profiled=True,
-        operations=operations,
-        telemetry=telemetry,
-        seed=seed,
-    )
-    cycles = max(1, vm.collector.gc_cycles)
-    return {
-        "call_sites": vm.jit.profiled_call_site_count,
-        "avg_gc_interval_ns": vm.clock.now_ns / cycles,
-    }
-
-
 def figure7(
     specs: Optional[Sequence[DaCapoSpec]] = None,
     p_fractions: Sequence[float] = (0.05, 0.10, 0.20, 0.50),
@@ -131,22 +112,17 @@ def figure7(
     Uses each benchmark's measured jitted-call-site count and average
     inter-GC interval, plugged into the resolver's worst-case model
     (Section 5: subsets of P% per 16-GC inference pass until all call
-    sites are exhausted).
+    sites are exhausted), both read from Figure 6's profiled ``real`` run.
     """
     operations = scaled_ops(DACAPO_OVERHEAD_OPS)
     specs = list(specs or DACAPO_SPECS)
-    cells = [
-        make_cell("fig7_profile", benchmark=spec.name, operations=operations)
-        for spec in specs
-    ]
+    cells = [_dacapo_time_cell(spec.name, "real", True, operations) for spec in specs]
     results = run_cells(cells, runner, session)
     series: Dict[str, Dict[float, float]] = {}
-    for spec, profile in zip(specs, results):
+    for spec, (now_ns, call_sites, gc_cycles) in zip(specs, results):
+        avg_gc_interval_ns = now_ns / max(1, gc_cycles)
         series[spec.name] = {
-            p: worst_case_resolution_ns(
-                profile["call_sites"], p, 16, profile["avg_gc_interval_ns"]
-            )
-            / 1e6
+            p: worst_case_resolution_ns(call_sites, p, 16, avg_gc_interval_ns) / 1e6
             for p in p_fractions
         }
     return series

@@ -31,12 +31,14 @@ kind's implementation must be a module-level function taking
 from __future__ import annotations
 
 import hashlib
+import io
 import multiprocessing
 import os
 import pickle
 import sys
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import default_verify_level, set_default_verify_level
@@ -45,7 +47,7 @@ from repro.fastpath import backend, set_backend
 
 #: bump when a cell implementation changes meaning — invalidates every
 #: cached result produced by older code
-CACHE_VERSION = "rolp-bench-cache/v5"
+CACHE_VERSION = "rolp-bench-cache/v6"
 
 #: default base seed; per-cell seeds are derived from it, never used raw
 DEFAULT_BASE_SEED = 42
@@ -62,7 +64,7 @@ class Cell:
     kind: str
     params: Tuple[Tuple[str, object], ...]
 
-    @property
+    @cached_property
     def key(self) -> str:
         """Stable human-readable identity, e.g.
         ``pause(collector='g1', discard_fraction=0.5, ...)``."""
@@ -70,6 +72,10 @@ class Cell:
             self.kind,
             ", ".join("%s=%r" % item for item in self.params),
         )
+
+    def __getstate__(self) -> Dict[str, object]:
+        # the fields only: reading the key must not change the pickle
+        return {"kind": self.kind, "params": self.params}
 
     @property
     def label(self) -> str:
@@ -235,6 +241,23 @@ def _pool_execute(payload: Tuple[Cell, int, int, str]):
 
 # -------------------------------------------------------------------------- cache
 
+_DIGEST_SIZE = hashlib.sha256().digest_size
+
+
+class _ReproUnpickler(pickle.Unpickler):
+    """Resolves only classes defined in ``repro`` modules: results are
+    otherwise builtins, for which pickle names no global."""
+
+    def find_class(self, module: str, name: str):
+        if module.partition(".")[0] == "repro":
+            obj = super().find_class(module, name)
+            if isinstance(obj, type) and obj.__module__.partition(".")[0] == "repro":
+                return obj
+        raise pickle.UnpicklingError(
+            "cache entries may only name repro classes, not %s.%s" % (module, name)
+        )
+
+
 class ResultCache:
     """Pickle-per-cell disk cache.
 
@@ -244,6 +267,9 @@ class ResultCache:
     changes) is handled by bumping :data:`CACHE_VERSION`.  Writes are
     atomic (tmp file + rename) so an interrupted run never leaves a
     truncated entry behind, and a write that fails removes its tmp file.
+    A file holds the pickled entry and then its SHA-256, checked before
+    unpickling with :class:`_ReproUnpickler`: a damaged or foreign entry
+    is a miss, never a wrong result or code that runs.
     """
 
     def __init__(self, directory: str) -> None:
@@ -296,7 +322,11 @@ class ResultCache:
         path = self.path(cell, seed)
         try:
             with open(path, "rb") as handle:
-                entry = pickle.load(handle)
+                data = handle.read()
+            body, digest = data[:-_DIGEST_SIZE], data[-_DIGEST_SIZE:]
+            if hashlib.sha256(body).digest() != digest:
+                return False, None
+            entry = _ReproUnpickler(io.BytesIO(body)).load()
         except self._UNREADABLE:
             return False, None
         if not isinstance(entry, dict) or "result" not in entry:
@@ -306,28 +336,29 @@ class ResultCache:
         return True, entry["result"]
 
     def store(self, cell: Cell, seed: int, result: object) -> None:
+        body = pickle.dumps(
+            {
+                "key_material": self.key_material(cell, seed),
+                "cell_key": cell.key,
+                # fleet identity: the id every artifact of this cell
+                # carries (load() ignores it: it is provenance, not key
+                # material)
+                "trace_id": derive_trace_id(cell.key, seed),
+                "result": result,
+            },
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
         path = self.path(cell, seed)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = path + ".tmp.%d" % os.getpid()
         try:
             with open(tmp, "wb") as handle:
-                pickle.dump(
-                    {
-                        "key_material": self.key_material(cell, seed),
-                        "cell_key": cell.key,
-                        # fleet identity: the id every artifact of this cell
-                        # carries (load() ignores it, so old entries remain
-                        # valid — it is provenance, not key material)
-                        "trace_id": derive_trace_id(cell.key, seed),
-                        "result": result,
-                    },
-                    handle,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
+                handle.write(body)
+                handle.write(hashlib.sha256(body).digest())
             os.replace(tmp, path)
         except BaseException:
-            # an unpicklable result, a full disk or an interrupt must not
-            # leave the partial temp file behind
+            # a full disk or an interrupt must not leave the partial
+            # temp file behind
             try:
                 os.remove(tmp)
             except OSError:
@@ -387,6 +418,8 @@ class Runner:
         self.progress = progress
         self.stats = RunnerStats()
         self._memo: Dict[Cell, object] = {}
+        #: cell key -> derived seed (``base_seed`` is fixed once a cell ran)
+        self._seeds: Dict[str, int] = {}
         #: cell key -> trace id, for every cell this runner has seen —
         #: exported into artifact JSONs so results join to recordings
         self.trace_ids: Dict[str, str] = {}
@@ -410,7 +443,11 @@ class Runner:
     # -- execution ---------------------------------------------------------------
 
     def seed_for(self, cell: Cell) -> int:
-        return derive_seed(cell.seed_key, self.base_seed)
+        key = cell.key
+        seed = self._seeds.get(key)
+        if seed is None:
+            seed = self._seeds[key] = derive_seed(cell.seed_key, self.base_seed)
+        return seed
 
     def trace_id_for(self, cell: Cell) -> str:
         return derive_trace_id(cell.key, self.seed_for(cell))

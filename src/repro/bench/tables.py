@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core import RolpConfig, RolpProfiler
 from repro.gc import G1Collector
@@ -150,9 +150,10 @@ def _dacapo_track(params) -> str:
     # comparison; only the JIT mode may differ between them
     seed_scope=shared_seed_scope("dacapo_time", "mode", "profiled"),
 )
-def _dacapo_time(seed, telemetry, benchmark, mode, profiled, operations) -> int:
-    """Simulated execution time (ns) of one DaCapo configuration —
-    shared between Figure 6 and Table 2's overhead simulation."""
+def _dacapo_time(seed, telemetry, benchmark, mode, profiled, operations) -> Tuple[int, int, int]:
+    """``(now_ns, profiled_call_sites, gc_cycles)`` of one DaCapo
+    configuration — Figure 6 and Table 2's overhead simulation read the
+    time, Figure 7 all three of the profiled ``real`` run."""
     vm = _run_dacapo(
         get_spec(benchmark),
         mode,
@@ -161,7 +162,7 @@ def _dacapo_time(seed, telemetry, benchmark, mode, profiled, operations) -> int:
         telemetry=telemetry,
         seed=seed,
     )
-    return vm.clock.now_ns
+    return vm.clock.now_ns, vm.jit.profiled_call_site_count, vm.collector.gc_cycles
 
 
 def _dacapo_time_cell(benchmark: str, mode: str, profiled: bool, operations: int):
@@ -214,9 +215,9 @@ def table2(
     rows: List[Table2Row] = []
     for spec in specs:
         profile = next(results)
-        base_ns = next(results)
-        fast_ns = next(results)
-        slow_ns = next(results)
+        base_ns = next(results)[0]
+        fast_ns = next(results)[0]
+        slow_ns = next(results)[0]
         gap = (slow_ns - fast_ns) / base_ns
         rows.append(
             Table2Row(

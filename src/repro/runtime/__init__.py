@@ -11,7 +11,7 @@ from repro.runtime.hooks import NullProfiler
 from repro.runtime.interpreter import ExecutionContext
 from repro.runtime.jit import JitCompiler
 from repro.runtime.method import AllocSite, CallSite, Method
-from repro.runtime.thread import Frame, SimThread
+from repro.runtime.thread import SimThread
 from repro.runtime.vm import CALL_PROFILING_MODES, JavaVM, VMFlags
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "CALL_PROFILING_MODES",
     "CallSite",
     "ExecutionContext",
-    "Frame",
     "JavaVM",
     "JitCompiler",
     "Method",

@@ -3,11 +3,11 @@
 Workload bodies are plain Python callables, but every action that the
 JVM would interpose on goes through the :class:`ExecutionContext`:
 
-* ``ctx.call(bci, method, ...)`` — method invocation.  Applies the JIT
-  invocation counter, the inlining decision, and — when the caller is
-  jitted, the site instrumented, and profiling enabled — the add/sub
-  update of the thread stack state (with the fast-branch/slow-path cost
-  model that reproduces Figure 6's four profiling levels).
+* ``ctx.call(bci, method, *args)`` — method invocation (positional
+  arguments only).  Applies the JIT invocation counter, the inlining
+  decision and — when the caller is jitted, the site instrumented and
+  profiling enabled — the add/sub update of the thread stack state,
+  with the fast-branch/slow-path cost model of Figure 6's four levels.
 * ``ctx.alloc(bci, size, ...)`` — object allocation.  Resolves the
   allocation context (site id + stack state), charges the allocation
   profiling tax, and hands the object to the collector.
@@ -27,7 +27,7 @@ from repro.heap.header import MASK_16
 from repro.heap.object_model import IMMORTAL, SimObject
 from repro.runtime.exceptions import SimException
 from repro.runtime.method import CallSite, Method, alloc_site_of, call_site_of
-from repro.runtime.thread import Frame, SimThread
+from repro.runtime.thread import SimThread
 
 #: default simulated cost of executing one method body's base work
 DEFAULT_CALL_OVERHEAD_NS = 20.0
@@ -54,7 +54,7 @@ class ExecutionContext:
 
     # -- invocation ---------------------------------------------------------------
 
-    def call(self, bci: int, method: Method, *args: Any, **kwargs: Any) -> Any:
+    def call(self, bci: int, method: Method, *args: Any) -> Any:
         """Invoke ``method`` from the current method's call site ``bci``."""
         vm = self.vm
         thread = self.thread
@@ -75,7 +75,7 @@ class ExecutionContext:
 
         thread.push_frame(method, site, increment)
         try:
-            result = method.body(self, *args, **kwargs)
+            result = method.body(self, *args)
         except SimException as exc:
             self._unwind_frame(exc)
             exc.unwound += 1
@@ -183,7 +183,7 @@ class FastExecutionContext(ExecutionContext):
         clock.now_ns += ns
         clock.total_mutator_ns += ns
 
-    def call(self, bci: int, method: Method, *args: Any, **kwargs: Any) -> Any:
+    def call(self, bci: int, method: Method, *args: Any) -> Any:
         vm = self.vm
         thread = self.thread
         frames = thread.frames
@@ -191,7 +191,7 @@ class FastExecutionContext(ExecutionContext):
         site: Optional[CallSite] = None
         increment = 0
         if frames:
-            caller = frames[-1].method
+            caller = frames[-1][0]
             site = caller.call_sites.get(bci)
             if site is None:
                 site = call_site_of(caller, bci)
@@ -213,13 +213,11 @@ class FastExecutionContext(ExecutionContext):
         clock.now_ns += self._call_ns
         clock.total_mutator_ns += self._call_ns
 
-        frame = Frame(method, site)
         if increment:
             thread.stack_state = (thread.stack_state + increment) & MASK_16
-            frame.contributed = increment
-        frames.append(frame)
+        frames.append((method, site, increment))
         try:
-            result = method.body(self, *args, **kwargs)
+            result = method.body(self, *args)
         except SimException as exc:
             thread.pop_frame(repair=vm.flags.fix_exception_unwind)
             exc.unwound += 1
@@ -227,9 +225,9 @@ class FastExecutionContext(ExecutionContext):
                 return None  # handled here; execution resumes in caller
             raise
         else:
-            popped = frames.pop()
-            if popped.contributed:
-                thread.stack_state = (thread.stack_state - popped.contributed) & MASK_16
+            contributed = frames.pop()[2]
+            if contributed:
+                thread.stack_state = (thread.stack_state - contributed) & MASK_16
             return result
 
     def alloc(
@@ -243,7 +241,7 @@ class FastExecutionContext(ExecutionContext):
         frames = thread.frames
         if not frames:
             raise RuntimeError("allocation outside any method frame")
-        method = frames[-1].method
+        method = frames[-1][0]
         site = method.alloc_sites.get(bci)
         if site is None:
             site = alloc_site_of(method, bci)

@@ -106,7 +106,7 @@ class Method:
         ``"org.apache.cassandra.db.Memtable"``); package filters match
         against its package prefix.
     body:
-        ``body(ctx, *args, **kwargs)`` — executed by the interpreter.
+        ``body(ctx, *args)`` — executed by the interpreter.
     bytecode_size:
         Size proxy used by the JIT inlining policy.
     """

@@ -11,28 +11,19 @@ The thread also keeps an explicit frame stack mirroring the Python call
 stack so that the VM can *recompute* the expected stack state at a GC
 safepoint (the paper's defence against on-stack-replacement corrupting
 the incrementally maintained value, Section 7.2.3).
+
+A frame is the tuple ``(method, via_site, contributed)``: the method,
+the caller's call site that entered it (None for roots), and the
+increment added to the stack state on entry (0 when the site was not
+enabled).  The fast execution context pushes and pops it inline.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.heap.header import MASK_16
 from repro.runtime.method import CallSite, Method
-
-
-class Frame:
-    """One activation record."""
-
-    __slots__ = ("method", "via_site", "contributed")
-
-    def __init__(self, method: Method, via_site: Optional[CallSite]) -> None:
-        self.method = method
-        #: the caller's call site that entered this frame (None for roots)
-        self.via_site = via_site
-        #: increment actually added to the stack state on entry (0 when
-        #: the site was not enabled at entry time)
-        self.contributed = 0
 
 
 class SimThread:
@@ -43,7 +34,7 @@ class SimThread:
         self.name = name or ("worker-%d" % thread_id)
         #: the paper's thread-local 16-bit stack state register
         self.stack_state = 0
-        self.frames: List[Frame] = []
+        self.frames: List[Tuple[Method, Optional[CallSite], int]] = []
         #: objects this thread has bias-locked (for lock bookkeeping)
         self.biased_objects = 0
         #: statistic: stack-state corruptions repaired at safepoints
@@ -51,16 +42,13 @@ class SimThread:
 
     # -- stack-state maintenance -----------------------------------------------
 
-    def push_frame(self, method: Method, via_site: Optional[CallSite], increment: int) -> Frame:
+    def push_frame(self, method: Method, via_site: Optional[CallSite], increment: int) -> None:
         """Enter a method; apply the call-site increment (16-bit wrap)."""
-        frame = Frame(method, via_site)
         if increment:
             self.stack_state = (self.stack_state + increment) & MASK_16
-            frame.contributed = increment
-        self.frames.append(frame)
-        return frame
+        self.frames.append((method, via_site, increment))
 
-    def pop_frame(self, repair: bool = True) -> Frame:
+    def pop_frame(self, repair: bool = True) -> None:
         """Leave the top method; undo its contribution.
 
         ``repair=False`` models the unhandled-exception unwind *without*
@@ -69,16 +57,15 @@ class SimThread:
         """
         if not self.frames:
             raise RuntimeError("thread %s: pop on empty stack" % self.name)
-        frame = self.frames.pop()
-        if repair and frame.contributed:
-            self.stack_state = (self.stack_state - frame.contributed) & MASK_16
-        return frame
+        contributed = self.frames.pop()[2]
+        if repair and contributed:
+            self.stack_state = (self.stack_state - contributed) & MASK_16
 
     def expected_stack_state(self) -> int:
         """Recompute the register from the live frames (ground truth)."""
         total = 0
-        for frame in self.frames:
-            total = (total + frame.contributed) & MASK_16
+        for _method, _via_site, contributed in self.frames:
+            total = (total + contributed) & MASK_16
         return total
 
     def verify_and_repair(self) -> bool:
@@ -97,7 +84,7 @@ class SimThread:
 
     @property
     def current_method(self) -> Optional[Method]:
-        return self.frames[-1].method if self.frames else None
+        return self.frames[-1][0] if self.frames else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SimThread(%s, state=0x%04x, depth=%d)" % (

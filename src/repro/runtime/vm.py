@@ -149,14 +149,14 @@ class JavaVM:
     def context(self, thread: SimThread) -> ExecutionContext:
         return self._ctx_class(self, thread)
 
-    def run(self, thread: SimThread, method: Method, *args, **kwargs):
+    def run(self, thread: SimThread, method: Method, *args):
         """Run a root invocation (an 'operation') on ``thread``.
 
         An exception that no frame handles terminates the operation
         (the thread's uncaught-exception boundary) and yields None.
         """
         try:
-            return self.context(thread).call(0, method, *args, **kwargs)
+            return self.context(thread).call(0, method, *args)
         except SimException:
             return None
 

@@ -7,7 +7,10 @@ import json
 
 import pytest
 
+from repro.bench import figures
 from repro.bench.cli import main
+from repro.bench.runner import Runner
+from repro.workloads.dacapo import SPEC_BY_NAME
 
 # two big workloads keep the full 4-collector grid (8 cells) under test
 # budget while still giving the pool something to fan out
@@ -118,3 +121,21 @@ class TestPauseStudyDeterminism:
     def test_resume_and_no_cache_conflict(self, capsys):
         assert main(["fig8", "--resume", "--no-cache"]) == 2
         assert "--resume" in capsys.readouterr().err
+
+
+class TestSharedDaCapoRuns:
+    def test_figure7_reads_figure6s_runs(self):
+        """Figure 7's inputs come from Figure 6's profiled ``real`` run:
+        after ``figure6`` on one runner, ``figure7`` simulates nothing,
+        takes one memo hit per benchmark, and gives the series a fresh
+        runner computes on its own."""
+        pmd = [SPEC_BY_NAME["pmd"]]
+        runner = Runner()
+        figures.figure6(pmd, runner=runner)
+        before = runner.stats.as_dict()
+        shared = figures.figure7(pmd, runner=runner)
+        after = runner.stats.as_dict()
+        assert after["simulations"] == before["simulations"]
+        assert after["cells"] == before["cells"]
+        assert after["memo_hits"] - before["memo_hits"] == 1
+        assert shared == figures.figure7(pmd, runner=Runner())

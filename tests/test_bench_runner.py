@@ -3,12 +3,17 @@ identity, seed derivation, memoisation, the disk cache and the worker
 pool — all exercised through a cheap test-only cell kind."""
 
 import asyncio
+import hashlib
+import os
 import pickle
+import struct
 import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.bench import artifacts
 from repro.bench import runner as runner_mod
 from repro.bench.runner import (
     DEFAULT_BASE_SEED,
@@ -54,6 +59,16 @@ class _Interrupting:
         raise KeyboardInterrupt
 
 
+class _CreatesFile:
+    """Unpickling it calls ``opener(path, ...)``, which creates ``path``."""
+
+    def __init__(self, opener, path, arg):
+        self.opener, self.path, self.arg = opener, path, arg
+
+    def __reduce__(self):
+        return (self.opener, (self.path, self.arg))
+
+
 class _RecordingExecutor(ThreadPoolExecutor):
     """A one-thread executor that records every ``submit``."""
 
@@ -95,6 +110,18 @@ class TestCellIdentity:
         with pytest.raises(KeyError, match="unknown cell kind"):
             Runner().run([make_cell("no_such_kind")])
 
+    def test_key_is_built_once_outside_eq_hash_and_pickle(self):
+        """The key is kept on the cell after its first use, and a cell
+        whose key was read still equals, hashes and pickles like one
+        whose key never was."""
+        cell, fresh = echo("once", value=2), echo("once", value=2)
+        assert cell.key is cell.key
+        assert cell == fresh and hash(cell) == hash(fresh)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(cell, protocol) == pickle.dumps(fresh, protocol)
+        copy = pickle.loads(pickle.dumps(cell))
+        assert copy == cell and copy.key == cell.key
+
 
 class TestDeriveSeed:
     def test_deterministic_and_key_sensitive(self):
@@ -112,6 +139,23 @@ class TestDeriveSeed:
         runner = Runner(base_seed=7)
         (result,) = runner.run([echo("seeded")])
         assert result["seed"] == derive_seed(echo("seeded").key, 7)
+
+    def test_runner_derives_each_cell_seed_once(self, monkeypatch):
+        derived = []
+
+        def counting(key, base_seed=DEFAULT_BASE_SEED):
+            derived.append(key)
+            return derive_seed(key, base_seed)
+
+        monkeypatch.setattr(runner_mod, "derive_seed", counting)
+        cell = echo("seeded-once")
+        runner = Runner(base_seed=7)
+        (first,) = runner.run([cell])
+        runner.run([echo("seeded-once")])  # an equal cell, built anew
+        assert runner.seed_for(cell) == first["seed"]
+        assert runner.trace_id_for(cell) == runner.trace_ids[cell.key]
+        assert derived == [cell.key]
+        assert first["seed"] == derive_seed(cell.key, 7)
 
     def test_seed_scope_shares_seeds_across_treatments(self):
         """Cells of one controlled comparison (same subject, different
@@ -239,6 +283,55 @@ class TestResultCache:
         cache.store(cell, seed, "ok")
         with open(cache.path(cell, seed), "wb") as handle:
             handle.write(payload)
+        assert cache.load(cell, seed) == (False, None)
+
+    @pytest.mark.parametrize(
+        "opener, arg",
+        [
+            pytest.param(open, "w", id="builtin-open"),
+            pytest.param(artifacts.write_json, {}, id="repro-function"),
+        ],
+    )
+    def test_entry_naming_a_non_repro_class_runs_nothing(self, tmp_path, opener, arg):
+        """An entry with a valid digest whose pickle calls a function
+        when loaded is a miss, and the function never runs."""
+        cache = ResultCache(str(tmp_path / "cache"))
+        cell, seed = echo("planted"), 1
+        marker = tmp_path / "marker"
+        cache.store(cell, seed, {"payload": _CreatesFile(opener, str(marker), arg)})
+        assert not marker.exists()
+        assert cache.load(cell, seed) == (False, None)
+        assert not marker.exists()
+
+    def test_foreign_class_named_through_a_repro_module_is_a_miss(self, tmp_path):
+        """``repro.workloads.kvstore`` imports ``OrderedDict``; naming it
+        through that module still names a class defined elsewhere."""
+        cache = ResultCache(str(tmp_path))
+        cell, seed = echo("foreign-class"), 1
+        entry = {"key_material": cache.key_material(cell, seed), "result": OrderedDict(a=1)}
+        body = pickle.dumps(entry, protocol=2).replace(
+            b"ccollections\nOrderedDict\n", b"crepro.workloads.kvstore\nOrderedDict\n"
+        )
+        assert b"repro.workloads.kvstore" in body
+        path = cache.path(cell, seed)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as handle:
+            handle.write(body + hashlib.sha256(body).digest())  # a valid digest
+        assert cache.load(cell, seed) == (False, None)
+
+    def test_flipped_byte_in_a_stored_float_is_a_miss(self, tmp_path):
+        """A bit flip that still unpickles, here inside a float, is a
+        miss rather than a hit with the wrong number."""
+        cache = ResultCache(str(tmp_path))
+        cell, seed = echo("flipped"), 1
+        cache.store(cell, seed, {"ratio": 1.25})
+        path = cache.path(cell, seed)
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
+        at = data.index(b"G" + struct.pack(">d", 1.25))  # BINFLOAT opcode
+        data[at + 8] ^= 0x01  # the float's last mantissa byte
+        with open(path, "wb") as handle:
+            handle.write(data)
         assert cache.load(cell, seed) == (False, None)
 
     def test_non_dict_entry_is_a_miss(self, tmp_path):

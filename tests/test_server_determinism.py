@@ -18,7 +18,9 @@ import asyncio
 
 import pytest
 
-from repro.bench.runner import Runner, make_cell
+from repro.bench import runner as runner_mod
+from repro.bench.runner import DEFAULT_BASE_SEED, Runner, make_cell
+from repro.server import sessions as sessions_mod
 from repro.server import ServerApp
 from repro.server.jobs import canonical_json, expected_payloads
 from repro.server.testing import (
@@ -311,3 +313,36 @@ class TestMemoAnsweredJobs:
         assert len(run_async_calls) == counters["batches"]
         assert app.runner.stats.simulations == 1
         assert app.runner.stats.memo_hits == 1
+
+    def test_repeated_step_derives_no_seed(self, monkeypatch):
+        """The runner keeps each cell's seed: the first step derives it
+        once, and a second session's identical step derives none."""
+        derived = []
+
+        def counting(key, base_seed=DEFAULT_BASE_SEED):
+            derived.append(key)
+            return real_derive_seed(key, base_seed)
+
+        real_derive_seed = runner_mod.derive_seed
+        monkeypatch.setattr(runner_mod, "derive_seed", counting)
+        monkeypatch.setattr(sessions_mod, "derive_seed", counting)
+
+        async def scenario():
+            app = ServerApp(runner=Runner(jobs=1, cache=None))
+            await app.startup()
+            client = TestClient(app)
+            bindings = {"workload": "lucene", "collector": "g1", "operations": OPS}
+            derivations, jobs = [], []
+            for _ in range(2):
+                sid = (await client.post("/v1/sessions", bindings)).json()["session"]["id"]
+                before = len(derived)
+                response = await client.post("/v1/sessions/%s/step" % sid, {"ops": OPS})
+                assert response.status == 200
+                derivations.append(len(derived) - before)
+                jobs.append(canonical_json(response.json()["job"]))
+            await app.shutdown()
+            return derivations, jobs
+
+        derivations, jobs = run(scenario())
+        assert derivations == [1, 0]
+        assert jobs[0] == jobs[1]
