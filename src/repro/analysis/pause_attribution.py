@@ -35,8 +35,8 @@ REPORT_SCHEMA = "rolp-bench/pause-report/v1"
 #: contributors listed per run in the report
 TOP_CONTRIBUTORS = 10
 
-#: default warmup discard, matching the Figure 8/9 pause study
-DEFAULT_DISCARD_FRACTION = 0.50
+#: warmup discard of every explain run, matching the Figure 8/9 pause study
+DISCARD_FRACTION = 0.50
 
 
 # ------------------------------------------------------------------ the cell
@@ -266,7 +266,6 @@ def render_report(report: dict) -> str:
 def explain_cells(
     workload_names: Optional[Sequence[str]] = None,
     collectors: Optional[Sequence[str]] = None,
-    discard_fraction: float = DEFAULT_DISCARD_FRACTION,
     capacity: Optional[int] = None,
 ):
     """The (workload x collector) grid of ``explain_run`` cells."""
@@ -283,7 +282,7 @@ def explain_cells(
             workload=name,
             collector=collector,
             operations=big_workload_ops(name),
-            discard_fraction=discard_fraction,
+            discard_fraction=DISCARD_FRACTION,
             capacity=capacity,
         )
         for name in names
@@ -295,19 +294,17 @@ def explain_cells(
 def explain(
     workload_names: Optional[Sequence[str]] = None,
     collectors: Optional[Sequence[str]] = None,
-    discard_fraction: float = DEFAULT_DISCARD_FRACTION,
     capacity: Optional[int] = None,
     runner=None,
-    session=None,
 ) -> dict:
     """Run the explain grid and build the report."""
     from repro.bench.config import bench_scale
 
-    cells = explain_cells(workload_names, collectors, discard_fraction, capacity)
+    cells = explain_cells(workload_names, collectors, capacity)
     if runner is None:
         from repro.bench.runner import Runner
 
-        runner = Runner(session=session)
+        runner = Runner()
     rows = runner.run(cells)
     trace_ids = [runner.trace_ids[cell.key] for cell in cells]
     return build_report(rows, trace_ids, bench_scale())

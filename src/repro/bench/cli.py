@@ -68,7 +68,7 @@ from repro.bench.workload_registry import (
     BIG_WORKLOADS,
     all_workload_names,
     big_workload_ops,
-    run_big_workload,
+    run_summary,
 )
 from repro.metrics.report import render_table
 from repro.telemetry import (
@@ -81,6 +81,13 @@ from repro.workloads.dacapo import SPEC_BY_NAME
 #: default on-disk cell cache (override with --cache-dir or the
 #: ROLP_BENCH_CACHE_DIR environment variable; disable with --no-cache)
 DEFAULT_CACHE_DIR = ".rolp-bench-cache"
+
+#: the experiments that write a report, and where unless --report-out
+DEFAULT_REPORTS = {
+    "explain": "pause_report.json",
+    "fuzz": "pause_report.json",
+    "staticcheck": "staticcheck_report.json",
+}
 
 #: the six ablation studies, in print order
 ABLATIONS = (
@@ -170,26 +177,12 @@ def _check_collectors(names: Optional[List[str]]) -> Optional[List[str]]:
     seed_scope=shared_seed_scope("trace_run", "collector"),
 )
 def _trace_cell(seed, telemetry, workload, collector, operations):
-    result, _ = run_big_workload(
-        workload, collector, operations=operations, seed=seed, telemetry=telemetry
-    )
-    return {
-        "workload": workload,
-        "collector": collector,
-        "operations": result.operations,
-        "elapsed_ms": result.elapsed_ms,
-        "throughput_ops_s": result.throughput_ops_s,
-        "pause_count": len(result.pauses),
-        "total_pause_ms": sum(result.pause_ms),
-        "gc_cycles": result.gc_cycles,
-        "max_memory_bytes": result.max_memory_bytes,
-    }
+    return run_summary(workload, collector, operations, seed, telemetry)
 
 
 def _trace_experiment(
     workload_names: Optional[List[str]],
     collectors: Optional[List[str]],
-    session: Optional[TelemetrySession],
     runner: Optional[Runner] = None,
 ) -> List[Dict[str, object]]:
     """The ``trace`` experiment: run every workload under every
@@ -205,7 +198,7 @@ def _trace_experiment(
         for name in workload_names or sorted(BIG_WORKLOADS)
         for collector in collectors or COLLECTOR_NAMES
     ]
-    return run_cells(cells, runner, session)
+    return run_cells(cells, runner)
 
 
 def render_trace_summary(rows: List[Dict[str, object]]) -> str:
@@ -229,7 +222,6 @@ def render_trace_summary(rows: List[Dict[str, object]]) -> str:
 def _run_experiments(
     todo: List[str],
     runner: Runner,
-    session: Optional[TelemetrySession],
     payloads: Dict[str, object],
     workloads: Optional[List[str]],
     collectors: Optional[List[str]],
@@ -246,37 +238,35 @@ def _run_experiments(
     for experiment in todo:
         print("=" * 72)
         if experiment == "table1":
-            rows = tables.table1(workloads, session=session, runner=runner)
+            rows = tables.table1(workloads, runner=runner)
             payloads["table1"] = artifacts.table1_payload(rows)
             print("[Table 1] Big Data benchmark profiling summary")
             print(tables.render_table1(rows))
         elif experiment == "table2":
-            rows = tables.table2(specs, session=session, runner=runner)
+            rows = tables.table2(specs, runner=runner)
             payloads["table2"] = artifacts.table2_payload(rows)
             print("[Table 2] DaCapo profiling and conflicts")
             print(tables.render_table2(rows))
         elif experiment == "fig6":
-            series = figures.figure6(specs, session=session, runner=runner)
+            series = figures.figure6(specs, runner=runner)
             payloads["fig6"] = artifacts.figure6_payload(series)
             print("[Figure 6] DaCapo execution time normalized to G1")
             print(figures.render_figure6(series))
         elif experiment == "fig7":
-            series = figures.figure7(specs, session=session, runner=runner)
+            series = figures.figure7(specs, runner=runner)
             payloads["fig7"] = artifacts.figure7_payload(series)
             print("[Figure 7] Worst-case conflict resolution time (ms)")
             print(figures.render_figure7(series))
         elif experiment in ("fig8", "fig9"):
             if pause_studies is None:
-                pause_studies = figures.pause_study(
-                    workloads, session=session, runner=runner
-                )
+                pause_studies = figures.pause_study(workloads, runner=runner)
             payloads[experiment] = artifacts.pause_study_payload(pause_studies)
             if experiment == "fig8":
                 print(figures.render_figure8(pause_studies))
             else:
                 print(figures.render_figure9(pause_studies))
         elif experiment == "fig10":
-            study = figures.figure10(session=session, runner=runner)
+            study = figures.figure10(runner=runner)
             payloads["fig10"] = artifacts.figure10_payload(study)
             print(figures.render_figure10(study))
         elif experiment == "ablations":
@@ -287,7 +277,7 @@ def _run_experiments(
                 print(ablations.render_ablation(results, title))
             payloads["ablations"] = ablation_payloads
         elif experiment == "trace":
-            rows = _trace_experiment(workloads, collectors, session, runner=runner)
+            rows = _trace_experiment(workloads, collectors, runner=runner)
             payloads["trace"] = artifacts.trace_payload(rows)
             print("[Trace] per-run summary (full trace via --trace-out)")
             print(render_trace_summary(rows))
@@ -297,7 +287,6 @@ def _run_experiments(
                 collectors,
                 capacity=explain_capacity,
                 runner=runner,
-                session=session,
             )
             payloads["explain"] = report
             print("[Explain] per-pause root-cause attribution (tail vs overall)")
@@ -499,12 +488,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--report-out",
         metavar="PATH",
-        default="pause_report.json",
         help="where the explain experiment writes its pause report, "
         "the fuzz experiment writes its search report, and the "
         "staticcheck experiment writes its analysis report "
-        "(default: %(default)s; staticcheck defaults to "
-        "staticcheck_report.json)",
+        "(default: pause_report.json for explain and fuzz, "
+        "staticcheck_report.json for staticcheck)",
     )
     parser.add_argument(
         "--budget",
@@ -522,9 +510,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "replayable regression-corpus entries (default: %(default)s)",
     )
     args = parser.parse_args(argv)
+    report_out = None  # experiments without a report ignore --report-out
+    if args.experiment in DEFAULT_REPORTS:
+        report_out = args.report_out or DEFAULT_REPORTS[args.experiment]
 
     # Fail fast on unwritable output paths — before hours of runs.
-    for path in (args.trace_out, args.metrics_out, args.flight_out):
+    for path in (args.trace_out, args.metrics_out, args.flight_out, report_out):
         if path:
             parent = os.path.dirname(path) or "."
             if not os.path.isdir(parent):
@@ -615,7 +606,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _run_experiments(
             todo,
             runner,
-            session,
             payloads,
             workloads,
             collectors,
@@ -669,11 +659,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         recorder.dump(args.flight_out)
         print("flight recording written to %s" % args.flight_out)
     if "explain" in payloads:
-        artifacts.write_json(args.report_out, payloads["explain"])
-        print("pause report written to %s" % args.report_out)
+        artifacts.write_json(report_out, payloads["explain"])
+        print("pause report written to %s" % report_out)
     if "fuzz" in payloads:
-        artifacts.write_json(args.report_out, payloads["fuzz"])
-        print("fuzz report written to %s" % args.report_out)
+        artifacts.write_json(report_out, payloads["fuzz"])
+        print("fuzz report written to %s" % report_out)
         failure_rules = fuzz.report_failure_rules(payloads["fuzz"])
         if failure_rules:
             print(
@@ -683,13 +673,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return 3
     if "staticcheck" in payloads:
-        static_out = (
-            args.report_out
-            if args.report_out != "pause_report.json"
-            else "staticcheck_report.json"
-        )
-        artifacts.write_json(static_out, payloads["staticcheck"])
-        print("staticcheck report written to %s" % static_out)
+        artifacts.write_json(report_out, payloads["staticcheck"])
+        print("staticcheck report written to %s" % report_out)
     if args.metrics_out:
         artifacts.write_json(
             args.metrics_out,

@@ -63,15 +63,12 @@ FIG6_LABELS = {
 
 def figure6(
     specs: Optional[Sequence[DaCapoSpec]] = None,
-    session=None,
     runner: Optional[Runner] = None,
 ) -> Dict[str, Dict[str, float]]:
     """DaCapo execution time normalized to G1 at four profiling levels.
 
-    Returns ``{benchmark: {mode: normalized execution time}}``.
-    ``session`` (a :class:`repro.telemetry.TelemetrySession`) records a
-    trace/metrics track per run; the default records nothing.  Table 2
-    and Figure 7 share the timing cells, so one runner (or a cached
+    Returns ``{benchmark: {mode: normalized execution time}}``.  Table
+    2 and Figure 7 share the timing cells, so one runner (or a cached
     ``rolp-bench all``) runs each (benchmark, mode) pair once.
     """
     operations = scaled_ops(DACAPO_OVERHEAD_OPS)
@@ -81,7 +78,7 @@ def figure6(
         cells.append(_dacapo_time_cell(spec.name, "real", False, operations))
         for mode in FIG6_MODES:
             cells.append(_dacapo_time_cell(spec.name, mode, True, operations))
-    results = iter(run_cells(cells, runner, session))
+    results = iter(run_cells(cells, runner))
     series: Dict[str, Dict[str, float]] = {}
     for spec in specs:
         base_ns = next(results)[0]
@@ -104,7 +101,6 @@ def render_figure6(series: Dict[str, Dict[str, float]]) -> str:
 def figure7(
     specs: Optional[Sequence[DaCapoSpec]] = None,
     p_fractions: Sequence[float] = (0.05, 0.10, 0.20, 0.50),
-    session=None,
     runner: Optional[Runner] = None,
 ) -> Dict[str, Dict[float, float]]:
     """Worst-case conflict resolution time (ms) per benchmark and P.
@@ -117,7 +113,7 @@ def figure7(
     operations = scaled_ops(DACAPO_OVERHEAD_OPS)
     specs = list(specs or DACAPO_SPECS)
     cells = [_dacapo_time_cell(spec.name, "real", True, operations) for spec in specs]
-    results = run_cells(cells, runner, session)
+    results = run_cells(cells, runner)
     series: Dict[str, Dict[float, float]] = {}
     for spec, (now_ns, call_sites, gc_cycles) in zip(specs, results):
         avg_gc_interval_ns = now_ns / max(1, gc_cycles)
@@ -203,7 +199,6 @@ def pause_study(
     workload_names: Optional[Sequence[str]] = None,
     collectors: Sequence[str] = PAUSE_FIGURE_COLLECTORS,
     discard_fraction: float = 0.50,
-    session=None,
     runner: Optional[Runner] = None,
 ) -> List[PauseStudy]:
     """Shared runner for Figures 8 and 9: every workload under every
@@ -220,7 +215,7 @@ def pause_study(
     to the serial run.
     """
     names, cells = pause_cells(workload_names, collectors, discard_fraction)
-    results = iter(run_cells(cells, runner, session))
+    results = iter(run_cells(cells, runner))
     studies: List[PauseStudy] = []
     for name in names:
         study = PauseStudy(workload=name)
@@ -291,7 +286,6 @@ def _fig10_cell(seed, telemetry, workload, collector, operations):
 def figure10(
     workload_name: str = "cassandra-wi",
     collectors: Sequence[str] = ("cms", "zgc", "ng2c", "rolp"),
-    session=None,
     runner: Optional[Runner] = None,
 ) -> WarmupStudy:
     operations = scaled_ops(WARMUP_OPS)
@@ -304,7 +298,7 @@ def figure10(
         )
         for collector in ("g1",) + tuple(collectors)
     ]
-    results = run_cells(cells, runner, session)
+    results = run_cells(cells, runner)
     g1 = results[0]
 
     throughput_norm = {"g1": 1.0}

@@ -80,6 +80,9 @@ FUZZ_VERIFY_LEVEL = 2
 #: unscaled operation budget per candidate evaluation
 FUZZ_EVAL_BASE_OPS = 6_000
 
+#: candidate evaluations per generation of the search
+GENERATION_SIZE = 6
+
 #: fixed (never scaled) operation count corpus entries are banked and
 #: replayed at — corpus semantics must not depend on ROLP_BENCH_SCALE
 CORPUS_OPS = 3_000
@@ -531,9 +534,7 @@ def _next_candidate(
 def fuzz(
     runner: Runner,
     budget: str = "32",
-    objectives: Sequence[str] = tuple(sorted(OBJECTIVE_METRICS)),
     corpus_dir: str = DEFAULT_CORPUS_DIR,
-    generation_size: int = 6,
     progress=None,
 ) -> Dict[str, object]:
     """The search loop; returns the fuzz report payload.
@@ -544,12 +545,6 @@ def fuzz(
     finding is shrunk and banked, and the conflict-objective winner is
     banked when it clears the acceptance ratio.
     """
-    unknown = [name for name in objectives if name not in OBJECTIVE_METRICS]
-    if unknown:
-        raise KeyError(
-            "unknown fuzz objective(s) %s (choose from: %s)"
-            % (", ".join(sorted(unknown)), ", ".join(sorted(OBJECTIVE_METRICS)))
-        )
     count_budget, time_budget = parse_budget(budget)
     deadline = time.time() + time_budget if time_budget is not None else None
     rng = random.Random(derive_seed("fuzz-search", runner.base_seed))
@@ -582,9 +577,9 @@ def fuzz(
         room = (
             count_budget - evals_done - len(batch)
             if count_budget is not None
-            else generation_size - len(batch)
+            else GENERATION_SIZE - len(batch)
         )
-        for _ in range(max(0, min(generation_size - len(batch), room))):
+        for _ in range(max(0, min(GENERATION_SIZE - len(batch), room))):
             candidate = _next_candidate(rng, best, seen)
             seen.add(candidate.encode())
             batch.append(candidate)
@@ -598,7 +593,7 @@ def fuzz(
             reference = by_backend["reference"]
             metrics = reference.get("metrics", {})
             if not reference.get("violation"):
-                for objective in objectives:
+                for objective in sorted(OBJECTIVE_METRICS):
                     score = float(metrics.get(OBJECTIVE_METRICS[objective], 0.0))
                     if objective not in best or score > best[objective][0]:
                         best[objective] = (score, genome)

@@ -33,7 +33,7 @@ import resource
 import statistics
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import build_vm
 from repro.bench.config import bench_scale, scaled_ops
@@ -337,11 +337,7 @@ def run_kernel(
 
 # ------------------------------------------------------------------- experiment
 
-def perf(
-    kernels: Optional[Sequence[str]] = None,
-    base_seed: int = DEFAULT_BASE_SEED,
-    repeat: int = 1,
-) -> Dict[str, object]:
+def perf(base_seed: int = DEFAULT_BASE_SEED, repeat: int = 1) -> Dict[str, object]:
     """Run every kernel through both backends, reporting progress on
     stderr; return the BENCH_6 payload.
 
@@ -349,16 +345,9 @@ def perf(
     contended wall-clock measurement would report speedups that are
     scheduler noise.
     """
-    names = list(kernels or PERF_KERNELS)
-    unknown = [name for name in names if name not in _KERNEL_FNS]
-    if unknown:
-        raise KeyError(
-            "unknown perf kernel(s) %s (choose from: %s)"
-            % (", ".join(sorted(unknown)), ", ".join(PERF_KERNELS))
-        )
     repeat = max(1, int(repeat))
     kernels_payload: Dict[str, object] = {}
-    for name in names:
+    for name in PERF_KERNELS:
         ops = kernel_ops(name)
         # both backends replay one seed; its key is the one the kernels'
         # seeds derived from when they ran as runner cells, so

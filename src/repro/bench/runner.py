@@ -427,7 +427,9 @@ class Runner:
     # -- telemetry ---------------------------------------------------------------
 
     def _count(self, name: str, amount: int = 1) -> None:
-        if self.session is not None:
+        # a counter first appears when it is first incremented: adding
+        # zero would cost a registry lookup on every memo-answered call
+        if amount and self.session is not None:
             self.session.metrics.counter(
                 "bench_runner_" + name, "experiment-runner %s" % name
             ).inc(amount)
@@ -450,7 +452,13 @@ class Runner:
         return seed
 
     def trace_id_for(self, cell: Cell) -> str:
-        return derive_trace_id(cell.key, self.seed_for(cell))
+        """The cell's trace id, derived the first time this runner sees
+        the cell and kept in :attr:`trace_ids`."""
+        key = cell.key
+        trace_id = self.trace_ids.get(key)
+        if trace_id is None:
+            trace_id = self.trace_ids[key] = derive_trace_id(key, self.seed_for(cell))
+        return trace_id
 
     def run(self, cells: Sequence[Cell]) -> List[object]:
         """Execute ``cells``, returning results in the given order.
@@ -463,9 +471,7 @@ class Runner:
         started = time.time()
         pending: List[Cell] = []  # unique cells needing execution, in order
         for cell in cells:
-            key = cell.key
-            if key not in self.trace_ids:
-                self.trace_ids[key] = self.trace_id_for(cell)
+            self.trace_id_for(cell)  # fills trace_ids for the artifacts
             if cell in self._memo or cell in pending:
                 continue
             pending.append(cell)
@@ -569,10 +575,10 @@ class Runner:
             self.cache.store(cell, self.seed_for(cell), result)
 
 
-def run_cells(cells: Sequence[Cell], runner: Optional[Runner] = None, session=None) -> List[object]:
+def run_cells(cells: Sequence[Cell], runner: Optional[Runner] = None) -> List[object]:
     """Experiment-module helper: run ``cells`` on ``runner``, or on a
-    throwaway inline runner carrying ``session`` (the pre-runner
-    behavior of every ``figureN()``/``tableN()`` call)."""
+    throwaway inline runner.  A caller that wants trace tracks passes a
+    runner carrying a session."""
     if runner is None:
-        runner = Runner(session=session)
+        runner = Runner()
     return runner.run(cells)

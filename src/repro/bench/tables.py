@@ -74,19 +74,14 @@ def _table1_cell(seed, telemetry, workload, operations) -> Table1Row:
 
 def table1(
     workload_names: Optional[Sequence[str]] = None,
-    session=None,
     runner: Optional[Runner] = None,
 ) -> List[Table1Row]:
-    """Run the six large workloads under ROLP and collect Table 1.
-
-    ``session`` (a :class:`repro.telemetry.TelemetrySession`) records a
-    trace/metrics track per run; the default records nothing.
-    """
+    """Run the six large workloads under ROLP and collect Table 1."""
     cells = [
         make_cell("table1", workload=name, operations=big_workload_ops(name))
         for name in workload_names or sorted(BIG_WORKLOADS)
     ]
-    return run_cells(cells, runner, session)
+    return run_cells(cells, runner)
 
 
 def render_table1(rows: Sequence[Table1Row]) -> str:
@@ -190,7 +185,6 @@ def _table2_profile(seed, telemetry, benchmark, operations):
 
 def table2(
     specs: Optional[Sequence[DaCapoSpec]] = None,
-    session=None,
     runner: Optional[Runner] = None,
 ) -> List[Table2Row]:
     """Run the DaCapo suite under ROLP and collect Table 2.
@@ -211,7 +205,7 @@ def table2(
         cells.append(_dacapo_time_cell(spec.name, "real", False, overhead_ops))
         cells.append(_dacapo_time_cell(spec.name, "fast", True, overhead_ops))
         cells.append(_dacapo_time_cell(spec.name, "slow", True, overhead_ops))
-    results = iter(run_cells(cells, runner, session))
+    results = iter(run_cells(cells, runner))
     rows: List[Table2Row] = []
     for spec in specs:
         profile = next(results)

@@ -55,21 +55,6 @@ EXTRA_WORKLOAD_OPS: Dict[str, int] = {
 }
 
 
-def register_workload(
-    name: str, constructor: Callable[..., Workload], default_ops: int
-) -> None:
-    """Register an extra (non-paper) workload.
-
-    It becomes constructable through :func:`make_big_workload` and
-    runnable through the bench layers, without joining the default
-    experiment grids.
-    """
-    if name in BIG_WORKLOADS or name in EXTRA_WORKLOADS:
-        raise ValueError("workload %r already registered" % name)
-    EXTRA_WORKLOADS[name] = constructor
-    EXTRA_WORKLOAD_OPS[name] = default_ops
-
-
 def all_workload_names():
     """Every constructable workload name (paper six + extras), sorted."""
     return sorted(set(BIG_WORKLOADS) | set(EXTRA_WORKLOADS))
@@ -108,3 +93,24 @@ def run_big_workload(
     ops = operations if operations is not None else big_workload_ops(name)
     result = run_workload(workload, collector, operations=ops, **kwargs)
     return result, workload
+
+
+def run_summary(
+    name: str, collector: str, operations: int, seed: int, telemetry
+) -> Dict[str, object]:
+    """One whole run summarised as a row: what ``rolp-bench trace``
+    prints and what a served run or session step returns."""
+    result, _ = run_big_workload(
+        name, collector, operations=operations, seed=seed, telemetry=telemetry
+    )
+    return {
+        "workload": name,
+        "collector": collector,
+        "operations": result.operations,
+        "elapsed_ms": result.elapsed_ms,
+        "throughput_ops_s": result.throughput_ops_s,
+        "pause_count": len(result.pauses),
+        "total_pause_ms": sum(result.pause_ms),
+        "gc_cycles": result.gc_cycles,
+        "max_memory_bytes": result.max_memory_bytes,
+    }

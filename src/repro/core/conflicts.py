@@ -298,14 +298,3 @@ class ConflictResolver:
         for site in sites:
             self.pinned.add(site)
             site.enabled = True
-
-    # -- statistics ------------------------------------------------------------------------
-
-    def enabled_site_count(self) -> int:
-        total = 0
-        for search in self.active.values():
-            if search.narrowing:
-                total += len(search.confirmed) + len(search.pool)
-            else:
-                total += len(search.enabled)
-        return total

@@ -44,10 +44,6 @@ class InferenceResult:
     #: allocation-site ids showing multi-peak (conflicting) curves
     conflicted_sites: Set[int] = field(default_factory=set)
 
-    @property
-    def contexts_analyzed(self) -> int:
-        return len(self.analyses)
-
 
 def find_peaks(curve: List[int], significance: float = 0.05, min_count: int = 8) -> List[int]:
     """Indices of significant local maxima in a 16-column age curve.

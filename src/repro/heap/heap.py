@@ -24,11 +24,6 @@ class SimOutOfMemoryError(MemoryError):
     """
 
 
-#: Deprecated pre-rename spelling; the bare JVM name shadows the
-#: semantics of the ``MemoryError`` builtin at import sites.
-OutOfMemoryError = SimOutOfMemoryError  # rolp-lint: allow[builtin-shadowing]
-
-
 class RegionHeap:
     """A fixed-capacity heap carved into equal regions.
 

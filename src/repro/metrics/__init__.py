@@ -23,7 +23,7 @@ from repro.metrics.report import (
     render_percentile_series,
     render_table,
 )
-from repro.metrics.throughput import ThroughputMeter, normalized
+from repro.metrics.throughput import ThroughputMeter
 
 __all__ = [
     "DEFAULT_INTERVALS_MS",
@@ -38,7 +38,6 @@ __all__ = [
     "ThroughputMeter",
     "duration_histogram",
     "measure",
-    "normalized",
     "percentile",
     "percentile_profile",
     "render_histogram_series",

@@ -9,8 +9,7 @@ code and barrier overheads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
 
 from repro.runtime.clock import NS_PER_S, SimClock
 
@@ -21,35 +20,12 @@ class ThroughputMeter:
 
     clock: SimClock
     operations: int = 0
-    _marks: List[Tuple[int, int]] = field(default_factory=list)
 
     def record(self, count: int = 1) -> None:
         self.operations += count
-
-    def mark(self) -> None:
-        """Snapshot (time, ops) for windowed rates (warmup curves)."""
-        self._marks.append((self.clock.now_ns, self.operations))
 
     def ops_per_second(self) -> float:
         elapsed_s = self.clock.now_ns / NS_PER_S
         if elapsed_s <= 0:
             return 0.0
         return self.operations / elapsed_s
-
-    def windowed_rates(self) -> List[Tuple[float, float]]:
-        """[(window end s, ops/s in window), ...] between marks."""
-        rates: List[Tuple[float, float]] = []
-        previous_ns, previous_ops = 0, 0
-        for now_ns, ops in self._marks:
-            window_s = (now_ns - previous_ns) / NS_PER_S
-            if window_s > 0:
-                rates.append((now_ns / NS_PER_S, (ops - previous_ops) / window_s))
-            previous_ns, previous_ops = now_ns, ops
-        return rates
-
-
-def normalized(value: float, baseline: float) -> float:
-    """Normalize a metric to a baseline (1.0 = identical to baseline)."""
-    if baseline == 0:
-        return 0.0
-    return value / baseline

@@ -380,9 +380,12 @@ class ServerApp:
         # session (submit and note are synchronous — no interleaving)
         future = self.batcher.submit(cell)
         seed = self.runner.seed_for(cell)
-        self.manager.note_job(session, cell.key, jobs_mod.derive_trace_id(cell.key, seed))
+        trace_id = self.runner.trace_id_for(cell)
+        self.manager.note_job(session, cell.key, trace_id)
         result = await self._await_result(future)
-        return Response(200, envelope("job", jobs_mod.job_payload(cell, seed, result)))
+        return Response(
+            200, envelope("job", jobs_mod.job_payload(cell, seed, trace_id, result))
+        )
 
     async def _step(self, sid: str, request: Request) -> Response:
         session = self._require_session(sid)
@@ -408,7 +411,7 @@ class ServerApp:
             )
         seed = self.runner.seed_for(cell)
         result = await self._await_result(future)
-        payload = jobs_mod.job_payload(cell, seed, result)
+        payload = jobs_mod.job_payload(cell, seed, self.runner.trace_id_for(cell), result)
         response = envelope("job", payload)
         response["step"] = step
         return Response(200, response)

@@ -179,20 +179,18 @@ def serve_main(
     port: int,
     app: ServerApp,
     reap_interval_s: Optional[float] = None,
-    ready_message: bool = True,
 ) -> int:
     """Blocking entry point for ``rolp-bench serve``."""
 
     async def _run() -> None:
         frontend = HttpFrontend(app, host, port)
         await frontend.start(reap_interval_s=reap_interval_s)
-        if ready_message:
-            print(
-                "rolp-bench serve: listening on http://%s:%d (Ctrl-C to stop)"
-                % (host, frontend.bound_port),
-                file=sys.stderr,
-                flush=True,
-            )
+        print(
+            "rolp-bench serve: listening on http://%s:%d (Ctrl-C to stop)"
+            % (host, frontend.bound_port),
+            file=sys.stderr,
+            flush=True,
+        )
         try:
             await frontend.serve_forever()
         except asyncio.CancelledError:

@@ -30,13 +30,12 @@ from repro.bench.runner import (
     Cell,
     Runner,
     cell_kind,
-    derive_trace_id,
     make_cell,
     registered_cell_kinds,
     cell_implementation,
     shared_seed_scope,
 )
-from repro.bench.workload_registry import all_workload_names, run_big_workload
+from repro.bench.workload_registry import all_workload_names, run_summary
 
 
 @cell_kind(
@@ -51,21 +50,9 @@ def _session_step_cell(seed, telemetry, workload, collector, operations, step):
     deterministic operation streams; ``collector`` is excluded from the
     seed scope so stepping the same session grid under different
     collectors stays a controlled comparison."""
-    result, _ = run_big_workload(
-        workload, collector, operations=operations, seed=seed, telemetry=telemetry
-    )
-    return {
-        "workload": workload,
-        "collector": collector,
-        "step": step,
-        "operations": result.operations,
-        "elapsed_ms": result.elapsed_ms,
-        "throughput_ops_s": result.throughput_ops_s,
-        "pause_count": len(result.pauses),
-        "total_pause_ms": sum(result.pause_ms),
-        "gc_cycles": result.gc_cycles,
-        "max_memory_bytes": result.max_memory_bytes,
-    }
+    summary = run_summary(workload, collector, operations, seed, telemetry)
+    summary["step"] = step
+    return summary
 
 
 class JobValidationError(ValueError):
@@ -138,18 +125,21 @@ def result_fingerprint(result) -> str:
     return hashlib.sha256(canonical_json(result).encode()).hexdigest()
 
 
-def job_payload(cell: Cell, seed: int, result) -> Dict[str, object]:
+def job_payload(cell: Cell, seed: int, trace_id: str, result) -> Dict[str, object]:
     """The deterministic ``job`` object of a job/step response.
 
-    Depends only on ``(cell, seed, result)`` — no timestamps, no
-    queue/batch/cache provenance — so a response body is byte-identical
-    no matter how the job reached execution.
+    ``trace_id`` is the runner's id for the cell
+    (:meth:`~repro.bench.runner.Runner.trace_id_for`), a function of the
+    cell and seed, so the payload depends only on ``(cell, seed,
+    result)`` — no timestamps, no queue/batch/cache provenance — and a
+    response body is byte-identical no matter how the job reached
+    execution.
     """
     return {
         "cell_key": cell.key,
         "kind": cell.kind,
         "seed": seed,
-        "trace_id": derive_trace_id(cell.key, seed),
+        "trace_id": trace_id,
         "fingerprint": result_fingerprint(result),
         "result": result,
     }
@@ -168,6 +158,6 @@ def expected_payloads(
         runner = Runner(jobs=1, cache=None, base_seed=base_seed)
     results = runner.run(list(cells))
     return [
-        job_payload(cell, runner.seed_for(cell), result)
+        job_payload(cell, runner.seed_for(cell), runner.trace_id_for(cell), result)
         for cell, result in zip(cells, results)
     ]

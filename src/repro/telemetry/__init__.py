@@ -101,13 +101,9 @@ class TelemetrySession:
             tracer = TeeTracer(tracers)
         return Telemetry(tracer, self.metrics)
 
-    def scoped(
-        self,
-        flight_recorder: Optional[FlightRecorder] = None,
-        record_trace: bool = False,
-    ) -> "TelemetrySession":
-        """A child session with its *own* sink and flight recorder but
-        the parent's metrics registry.
+    def scoped(self, flight_recorder: Optional[FlightRecorder] = None) -> "TelemetrySession":
+        """A child session with its *own* flight recorder but the
+        parent's metrics registry, recording no unbounded trace.
 
         This is the fleet server's per-session telemetry scope: each
         server session records lifecycle events (and optional flight
@@ -115,7 +111,7 @@ class TelemetrySession:
         independently — while every counter still lands in the one
         registry ``/metrics`` exports.
         """
-        child = TelemetrySession(flight_recorder=flight_recorder, record_trace=record_trace)
+        child = TelemetrySession(flight_recorder=flight_recorder, record_trace=False)
         child.metrics = self.metrics
         return child
 

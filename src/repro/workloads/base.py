@@ -14,7 +14,7 @@ run a workload on it, and collect a :class:`RunResult`.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import build_vm
@@ -105,7 +105,6 @@ class RunResult:
     gc_cycles: int
     vm_summary: Dict[str, float]
     profiler_summary: Optional[Dict[str, float]] = None
-    extra: Dict[str, float] = field(default_factory=dict)
 
     @property
     def pause_ms(self) -> List[float]:
@@ -130,8 +129,6 @@ def run_workload(
     operations: Optional[int] = None,
     heap_mb: Optional[int] = None,
     rolp_config: Optional[RolpConfig] = None,
-    mark_every: int = 0,
-    flags=None,
     telemetry=None,
 ) -> RunResult:
     """Build a VM, run ``workload`` on it, return the measurements.
@@ -151,16 +148,13 @@ def run_workload(
         heap_mb=heap_mb,
         young_regions=workload.young_regions,
         rolp_config=rolp_config,
-        flags=flags,
         telemetry=telemetry,
     )
     workload.build(vm)
-    meter = ThroughputMeter(vm.clock)
     for op_index in range(operations):
         workload.run_op(op_index)
-        meter.record()
-        if mark_every and (op_index + 1) % mark_every == 0:
-            meter.mark()
+    meter = ThroughputMeter(vm.clock)
+    meter.record(operations)
     return RunResult(
         workload=workload.name,
         collector=collector,

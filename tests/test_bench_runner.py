@@ -492,6 +492,16 @@ class TestTelemetryAndHelpers:
         assert counters("bench_runner_cache_misses").total() == 2
         assert counters("bench_runner_cache_hits").total() == 0
 
+    def test_a_counter_appears_when_first_incremented(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        Runner(cache=cache).run([echo("w1"), echo("w2")])
+        session = TelemetrySession()
+        Runner(cache=cache, session=session).run([echo("w1"), echo("w2")])
+        exported = session.metrics.to_json()
+        assert exported["bench_runner_cache_hits"]["samples"][0]["value"] == 2
+        assert "bench_runner_cache_misses" not in exported
+        assert "bench_runner_simulations" not in exported
+
     def test_inline_runs_carry_per_cell_trace_tracks(self):
         session = TelemetrySession()
         Runner(session=session).run([echo("tracked")])

@@ -69,10 +69,14 @@ class TestUnknownNames:
         assert "Table 1" not in out
 
     def test_unwritable_output_path_fails_fast(self, capsys):
-        assert main(["table1", "--trace-out", "/nonexistent_dir/t.json"]) == 2
-        captured = capsys.readouterr()
-        assert "cannot write" in captured.err
-        assert "Table 1" not in captured.out  # nothing ran first
+        for argv, banner in (
+            (["table1", "--trace-out", "/nonexistent_dir/t.json"], "Table 1"),
+            (["explain", "--report-out", "/nonexistent_dir/r.json"], "[Explain]"),
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "cannot write" in captured.err
+            assert banner not in captured.out  # nothing ran first
 
 
 class TestTelemetryOutputs:

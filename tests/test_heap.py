@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.heap.heap import OutOfMemoryError, RegionHeap
+from repro.heap.heap import RegionHeap, SimOutOfMemoryError
 from repro.heap.object_model import SimObject
 from repro.heap.region import Space
 
@@ -57,7 +57,7 @@ class TestClaimRelease:
         heap = make_heap(2)
         heap.claim_region(Space.EDEN)
         heap.claim_region(Space.EDEN)
-        with pytest.raises(OutOfMemoryError):
+        with pytest.raises(SimOutOfMemoryError):
             heap.claim_region(Space.EDEN)
 
     def test_max_committed_high_water(self):
@@ -132,7 +132,7 @@ class TestHumongous:
 
     def test_spanning_humongous_oom(self):
         heap = make_heap(2)
-        with pytest.raises(OutOfMemoryError):
+        with pytest.raises(SimOutOfMemoryError):
             heap.allocate(obj(4 << 20), Space.EDEN)
 
 

@@ -261,19 +261,6 @@ class TestTreeSelfCheck:
         assert lint.lint_paths([lint.default_target()]) == []
         assert lint.lint_paths.files_checked > 50
 
-    def test_heap_module_needs_its_deprecation_waiver(self):
-        """The deprecated OutOfMemoryError alias is exactly one waived
-        builtin-shadowing finding — remove the waiver and it fires."""
-        import repro.heap.heap as heap_mod
-
-        path = heap_mod.__file__
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        assert lint.lint_source(source, path) == []
-        stripped = source.replace("# rolp-lint: allow[builtin-shadowing]", "")
-        hits = lint.lint_source(stripped, path)
-        assert [f.rule for f in hits] == ["builtin-shadowing"]
-
 
 class TestCommandLine:
     def test_clean_file_exits_zero(self, tmp_path, capsys):

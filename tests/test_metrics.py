@@ -19,7 +19,7 @@ from repro.metrics.report import (
     render_percentile_series,
     render_table,
 )
-from repro.metrics.throughput import ThroughputMeter, normalized
+from repro.metrics.throughput import ThroughputMeter
 from repro.runtime.clock import SimClock
 
 floats = st.lists(
@@ -114,23 +114,6 @@ class TestThroughput:
     def test_zero_time(self):
         meter = ThroughputMeter(SimClock())
         assert meter.ops_per_second() == 0.0
-
-    def test_windowed_rates(self):
-        clock = SimClock()
-        meter = ThroughputMeter(clock)
-        meter.record(10)
-        clock.advance_mutator(1e9)
-        meter.mark()
-        meter.record(30)
-        clock.advance_mutator(1e9)
-        meter.mark()
-        rates = meter.windowed_rates()
-        assert rates[0][1] == pytest.approx(10.0)
-        assert rates[1][1] == pytest.approx(30.0)
-
-    def test_normalized(self):
-        assert normalized(50, 100) == 0.5
-        assert normalized(50, 0) == 0.0
 
 
 class TestMemory:

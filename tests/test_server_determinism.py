@@ -20,6 +20,8 @@ import pytest
 
 from repro.bench import runner as runner_mod
 from repro.bench.runner import DEFAULT_BASE_SEED, Runner, make_cell
+from repro.server import app as app_mod
+from repro.server import jobs as jobs_mod
 from repro.server import sessions as sessions_mod
 from repro.server import ServerApp
 from repro.server.jobs import canonical_json, expected_payloads
@@ -346,3 +348,38 @@ class TestMemoAnsweredJobs:
         derivations, jobs = run(scenario())
         assert derivations == [1, 0]
         assert jobs[0] == jobs[1]
+
+    def test_repeated_run_derives_no_trace_id(self, monkeypatch):
+        """A memo-answered ``run`` job reuses the trace id the runner
+        already holds for its cell, for the session log and the reply
+        alike: once the first job ran, none is derived again."""
+        derived = []
+
+        def counting(key, seed):
+            derived.append(key)
+            return real_derive_trace_id(key, seed)
+
+        real_derive_trace_id = runner_mod.derive_trace_id
+        # wherever the served path could bind the helper
+        for module in (runner_mod, sessions_mod, jobs_mod, app_mod):
+            monkeypatch.setattr(module, "derive_trace_id", counting, raising=False)
+
+        async def scenario():
+            app = ServerApp(runner=Runner(jobs=1, cache=None))
+            await app.startup()
+            client = TestClient(app)
+            bindings = {"workload": "lucene", "collector": "g1", "operations": OPS}
+            sid = (await client.post("/v1/sessions", bindings)).json()["session"]["id"]
+            first = (await client.post("/v1/sessions/%s/run" % sid)).json()["job"]
+            before = len(derived)
+            repeats = []
+            for _ in range(10):
+                response = await client.post("/v1/sessions/%s/run" % sid)
+                assert response.status == 200
+                repeats.append(response.json()["job"])
+            await app.shutdown()
+            return first, repeats, len(derived) - before
+
+        first, repeats, derivations = run(scenario())
+        assert derivations == 0
+        assert repeats == [first] * 10

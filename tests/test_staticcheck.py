@@ -48,6 +48,16 @@ class TestCommandLine:
         assert report["totals"]["conflict_heavy_genomes"] >= 1
         assert [entry["name"] for entry in report["workloads"]] == ["lucene"]
 
+    def test_report_out_is_honoured_under_any_name(self, tmp_path, monkeypatch):
+        """An explicit ``--report-out`` wins even when it names the
+        explain and fuzz default."""
+        monkeypatch.chdir(tmp_path)
+        argv = ["staticcheck", "--workloads", "lucene", "--corpus-dir", CORPUS_DIR]
+        assert cli.main(argv + ["--report-out", "pause_report.json"]) == 0
+        report = json.loads((tmp_path / "pause_report.json").read_text())
+        assert report["schema"] == "rolp-bench/staticcheck/v2"
+        assert not (tmp_path / "staticcheck_report.json").exists()
+
     def test_full_report_over_every_registered_workload(self):
         report = run_staticcheck()
         names = [entry["name"] for entry in report["workloads"]]
