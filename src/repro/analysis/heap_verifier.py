@@ -73,6 +73,7 @@ class HeapVerifier:
             self._verify_region_table(heap)
             self._verify_alloc_cache(heap)
             self._verify_space_counts(heap)
+            self._verify_stored_triggers(heap, collector)
             self._verify_humongous(heap)
             self._verify_objects(heap, collector, biased)
             if biased is not None:
@@ -195,12 +196,40 @@ class HeapVerifier:
             walked[region.space] += 1
         for space in Space:
             self._check(
-                heap.region_count(space) == walked[space],
+                heap.space_counts[space] == walked[space],
                 "heap/space-counts",
                 "incremental per-space region count disagrees with the walk",
                 space=space.value,
-                counted=heap.region_count(space),
+                counted=heap.space_counts[space],
                 walked=walked[space],
+            )
+
+    # -- stored trigger inputs ---------------------------------------------------
+
+    def _verify_stored_triggers(self, heap: RegionHeap, collector) -> None:
+        """The values the per-allocation triggers read as plain values
+        must equal what they stand for: the heap's occupancy (recomputed
+        at every region claim and release) and a CMS collector's old-space
+        waste fraction (recomputed where promotion, the sweep or a
+        compaction changes it)."""
+        committed = sum(1 for r in heap.regions if r.space is not Space.FREE)
+        expected = committed * heap.region_bytes / heap.capacity_bytes
+        self._check(
+            heap.occupancy == expected,
+            "heap/occupancy",
+            "stored heap occupancy disagrees with the region walk",
+            occupancy=heap.occupancy,
+            expected=expected,
+        )
+        if self._in_place_waste:
+            walked = collector._old_waste_fraction()
+            self._check(
+                collector.waste_fraction == walked,
+                "gc/waste-fraction",
+                "stored old-space waste fraction disagrees with the region walk",
+                collector=collector.name,
+                stored=collector.waste_fraction,
+                walked=walked,
             )
 
     # -- humongous contiguity --------------------------------------------------

@@ -44,17 +44,32 @@ class CMSCollector(GenerationalCollector):
         self.waste_limit = waste_limit
         #: dead-in-place bytes in the old generation (not reusable)
         self.wasted_bytes = 0
+        #: :meth:`_old_waste_fraction` as of its last input change, read
+        #: by the per-allocation trigger.  CMS places mutator objects only
+        #: in eden and humongous regions, so ``wasted_bytes`` and the old
+        #: space's used bytes change only in a young collection
+        #: (promotion), the concurrent sweep and a full compaction; each
+        #: recomputes it, and the heap verifier cross-checks it.
+        self.waste_fraction = 0.0
         self.concurrent_cycles = 0
         self.full_compactions = 0
 
     # -- concurrent old cycle --------------------------------------------------
 
     def _maybe_collect(self) -> None:
-        super()._maybe_collect()
-        if self.heap.occupancy() >= self.concurrent_trigger:
+        # The eden trigger called directly rather than through super():
+        # this runs on every allocation.
+        if self._eden_full():
+            self.collect_young()
+        if self.heap.occupancy >= self.concurrent_trigger:
             self._concurrent_cycle()
-        if self._old_waste_fraction() >= self.waste_limit:
+        if self.waste_fraction >= self.waste_limit:
             self.collect_full("fragmentation")
+
+    def _end_of_cycle(self, pause_ns: float) -> None:
+        # Young collections and full compactions both end here.
+        self.waste_fraction = self._old_waste_fraction()
+        super()._end_of_cycle(pause_ns)
 
     def _concurrent_cycle(self) -> None:
         """Concurrent mark + sweep with two short auxiliary pauses."""
@@ -97,6 +112,7 @@ class CMSCollector(GenerationalCollector):
                 # Non-moving: 'used' stays (the space is fragmented); we
                 # track it as waste that only a full compaction recovers.
                 self.wasted_bytes += freed
+        self.waste_fraction = self._old_waste_fraction()
         # The sweep ends no cycle (auxiliary pauses only), so run the
         # after-GC walk explicitly — it is the only point that sees the
         # freshly swept in-place waste.

@@ -46,9 +46,16 @@ class G1Collector(GenerationalCollector):
         self._bytes_at_forced_cycle = 0
 
     def _maybe_collect(self) -> None:
-        # The generational eden trigger first, called directly rather
-        # than through super(): this runs on every allocation.
-        if self._eden_full():
+        # The generational eden trigger first, inlined rather than called
+        # through super(): this runs on every allocation.  The fast
+        # backend reads the eden-region count; the reference backend
+        # walks the regions in _eden_full.
+        heap = self.heap
+        if self._fast_paths:
+            eden_full = heap.space_counts[Space.EDEN] >= self.young_regions
+        else:
+            eden_full = self._eden_full()
+        if eden_full:
             self.collect_young()
         # Eden pressure is not the only trigger: when allocation flows
         # straight into old/dynamic spaces (heavy pretenuring), the
@@ -56,10 +63,10 @@ class G1Collector(GenerationalCollector):
         # inference/adaptation clock — must still be driven.  Pace it by
         # allocation volume once occupancy crosses the IHOP, like G1's
         # concurrent-cycle scheduling.
-        pace_bytes = self.young_regions * self.heap.region_bytes
+        pace_bytes = self.young_regions * heap.region_bytes
         # One occupancy read serves both comparisons: nothing between
         # them can change the committed-region count.
-        occupancy = self.heap.occupancy()
+        occupancy = heap.occupancy
         if (
             occupancy >= self.ihop
             and self.bytes_allocated - self._bytes_at_forced_cycle >= pace_bytes
@@ -80,7 +87,7 @@ class G1Collector(GenerationalCollector):
     waste_trigger = 0.40
 
     def _old_pressure(self, now_ns: int) -> bool:
-        if self.heap.occupancy() >= self.ihop:
+        if self.heap.occupancy >= self.ihop:
             return True
         old_regions = self.heap.regions_in(Space.OLD)
         used = sum(r.used for r in old_regions)
@@ -105,7 +112,7 @@ class G1Collector(GenerationalCollector):
         IHOP the collector reclaims more aggressively per pause rather
         than drifting into an allocation failure (full GC).
         """
-        occupancy = self.heap.occupancy()
+        occupancy = self.heap.occupancy
         if occupancy >= 0.85:
             return self.max_mixed_regions * 4
         if occupancy >= 0.70:
@@ -123,7 +130,7 @@ class G1Collector(GenerationalCollector):
         return [r for _, r in candidates[: self._mixed_budget()]]
 
     def _young_pause_kind(self) -> str:
-        return "mixed" if self.heap.occupancy() >= self.ihop else "young"
+        return "mixed" if self.heap.occupancy >= self.ihop else "young"
 
     # -- full collection ----------------------------------------------------------------
 

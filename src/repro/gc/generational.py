@@ -64,7 +64,7 @@ class GenerationalCollector(Collector):
     def _eden_full(self) -> bool:
         if self._fast_paths:
             # O(1) incrementally maintained count, == the region walk
-            return self.heap.region_count(Space.EDEN) >= self.young_regions
+            return self.heap.space_counts[Space.EDEN] >= self.young_regions
         return len(self.heap.regions_in(Space.EDEN)) >= self.young_regions
 
     def _maybe_collect(self) -> None:

@@ -71,20 +71,18 @@ class NG2CCollector(G1Collector):
     # -- placement ---------------------------------------------------------------
 
     def _placement(self, obj, context, gen_hint) -> Tuple[Space, int]:
-        gen = self._advice(context, gen_hint)
+        if not self.use_profiler_advice:
+            gen = gen_hint
+        elif context:
+            gen = self.profiler.allocation_advice(context)
+        else:
+            gen = 0
         if gen <= 0:
             return Space.EDEN, 0
         self.pretenured_objects += 1
         if gen >= OLD_GEN:
             return Space.OLD, 0
         return Space.DYNAMIC, gen
-
-    def _advice(self, context: int, gen_hint: int) -> int:
-        if self.use_profiler_advice:
-            if context == 0:
-                return 0
-            return self.profiler.allocation_advice(context)
-        return gen_hint
 
     # -- collection --------------------------------------------------------------------
 

@@ -68,7 +68,7 @@ class ZGCCollector(Collector):
         return Space.EDEN, 0
 
     def _maybe_collect(self) -> None:
-        if self.heap.occupancy() < self.occupancy_trigger:
+        if self.heap.occupancy < self.occupancy_trigger:
             return
         if (
             self.bytes_allocated - self._bytes_at_last_cycle

@@ -57,13 +57,20 @@ class RegionHeap:
         #: humongous threshold, hoisted off the per-allocation path
         self._humongous_bytes = region_bytes // 2
         self._capacity_bytes = len(self.regions) * region_bytes
-        # Incrementally maintained per-space region counts.  Sound
-        # because a region's space only ever changes through
-        # claim_region (FREE -> space, via Region.retarget) and
-        # release_region (space -> FREE, via Region.reset); the heap
-        # verifier cross-checks these against a region walk.
-        self._space_counts: Dict[Space, int] = {space: 0 for space in Space}
-        self._space_counts[Space.FREE] = len(self.regions)
+        #: per-space region counts, read in place by the collectors'
+        #: per-allocation triggers.  Sound because a region's space only
+        #: ever changes through claim_region (FREE -> space, via
+        #: Region.retarget) and release_region (space -> FREE, via
+        #: Region.reset); the heap verifier cross-checks these against a
+        #: region walk.
+        self.space_counts: Dict[Space, int] = {space: 0 for space in Space}
+        self.space_counts[Space.FREE] = len(self.regions)
+        #: committed fraction of total capacity.  A plain value, read by
+        #: every collector's per-allocation trigger: claim_region and
+        #: release_region (the only places the committed-region count
+        #: changes) recompute it with one expression, and the heap
+        #: verifier cross-checks it against a region walk.
+        self.occupancy = 0.0
 
     # -- capacity -----------------------------------------------------------
 
@@ -89,19 +96,6 @@ class RegionHeap:
             if r.space is space and (gen is None or r.gen == gen)
         ]
 
-    def region_count(self, space: Space) -> int:
-        """Number of regions currently in ``space``, O(1).
-
-        Equals ``len(self.regions_in(space))`` without the region-table
-        walk; the collectors' per-allocation triggering checks use this
-        on their fast path.
-        """
-        return self._space_counts[space]
-
-    def occupancy(self) -> float:
-        """Committed fraction of total heap capacity."""
-        return self._committed_regions * self.region_bytes / self._capacity_bytes
-
     # -- verifier views (read-only snapshots of internal state) --------------
 
     def free_list(self) -> Tuple[Region, ...]:
@@ -123,10 +117,11 @@ class RegionHeap:
         region = self._free.pop()
         region.retarget(space, gen)
         self._committed_regions += 1
-        counts = self._space_counts
+        counts = self.space_counts
         counts[Space.FREE] -= 1
         counts[space] += 1
         committed = self._committed_regions * self.region_bytes
+        self.occupancy = committed / self._capacity_bytes
         if committed > self.max_committed_bytes:
             self.max_committed_bytes = committed
         return region
@@ -138,12 +133,13 @@ class RegionHeap:
         key = (region.space, region.gen)
         if self._alloc_region.get(key) is region:
             del self._alloc_region[key]
-        counts = self._space_counts
+        counts = self.space_counts
         counts[region.space] -= 1
         counts[Space.FREE] += 1
         region.reset()
         self._free.append(region)
         self._committed_regions -= 1
+        self.occupancy = self._committed_regions * self.region_bytes / self._capacity_bytes
 
     def current_alloc_region(self, space: Space, gen: int = 0) -> Optional[Region]:
         """The region currently receiving bump allocations for a space
@@ -172,9 +168,14 @@ class RegionHeap:
             return self._allocate_humongous(obj)
         key = (space, gen)
         region = self._alloc_region.get(key)
-        if region is None or region.used + size > region.capacity:  # == not has_room
-            region = self.claim_region(space, gen)
-            self._alloc_region[key] = region
+        if region is not None and region.used + size <= region.capacity:  # == has_room
+            # Region.allocate's bump, in this frame: the steady state
+            region.objects.append(obj)
+            obj.region = region
+            region.used += size
+            return region
+        region = self.claim_region(space, gen)
+        self._alloc_region[key] = region
         region.allocate(obj)
         return region
 

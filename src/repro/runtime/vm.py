@@ -131,6 +131,8 @@ class JavaVM:
         #: method bodies through the inlined context twin
         self.fast_paths = fast_paths_enabled()
         self._ctx_class = FastExecutionContext if self.fast_paths else ExecutionContext
+        #: one execution context per thread, built on first use
+        self._contexts: Dict[SimThread, ExecutionContext] = {}
         #: the collector's barrier tax on mutator work, and the per-
         #: allocation base charge scaled by it and truncated once, as
         #: each advance_mutator charge truncates
@@ -147,7 +149,16 @@ class JavaVM:
         return thread
 
     def context(self, thread: SimThread) -> ExecutionContext:
-        return self._ctx_class(self, thread)
+        """The execution context of ``thread``, built on first use.
+
+        A context holds only the thread and per-VM constants (the clock,
+        the barrier factor and the call charge), so one serves every
+        operation the thread runs.
+        """
+        ctx = self._contexts.get(thread)
+        if ctx is None:
+            ctx = self._contexts[thread] = self._ctx_class(self, thread)
+        return ctx
 
     def run(self, thread: SimThread, method: Method, *args):
         """Run a root invocation (an 'operation') on ``thread``.
@@ -155,8 +166,9 @@ class JavaVM:
         An exception that no frame handles terminates the operation
         (the thread's uncaught-exception boundary) and yields None.
         """
+        ctx = self._contexts.get(thread) or self.context(thread)
         try:
-            return self.context(thread).call(0, method, *args)
+            return ctx.call(0, method, *args)
         except SimException:
             return None
 

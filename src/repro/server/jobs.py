@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro import COLLECTOR_NAMES
 from repro.bench.runner import (
@@ -145,17 +145,12 @@ def job_payload(cell: Cell, seed: int, trace_id: str, result) -> Dict[str, objec
     }
 
 
-def expected_payloads(
-    cells: Sequence[Cell],
-    base_seed: int,
-    runner: Optional[Runner] = None,
-) -> List[Dict[str, object]]:
+def expected_payloads(cells: Sequence[Cell], base_seed: int) -> List[Dict[str, object]]:
     """The payloads a conforming server must return for ``cells`` —
     computed by running them serially through a plain :class:`Runner`.
     The soak tests and the load generator diff server responses against
     this, byte-for-byte."""
-    if runner is None:
-        runner = Runner(jobs=1, cache=None, base_seed=base_seed)
+    runner = Runner(jobs=1, cache=None, base_seed=base_seed)
     results = runner.run(list(cells))
     return [
         job_payload(cell, runner.seed_for(cell), runner.trace_id_for(cell), result)

@@ -23,13 +23,11 @@ _MASK_64 = (1 << 64) - 1
 
 
 def _fnv1a_64(value: int) -> int:
-    """FNV-1a hash of an integer (YCSB's key scrambler)."""
+    """FNV-1a hash of an integer (YCSB's key scrambler): the octets of
+    its low 64 bits, two's complement, least significant first."""
     hashed = _FNV_OFFSET
-    for _ in range(8):
-        octet = value & 0xFF
-        value >>= 8
-        hashed ^= octet
-        hashed = (hashed * _FNV_PRIME) & _MASK_64
+    for octet in (value & _MASK_64).to_bytes(8, "little"):
+        hashed = ((hashed ^ octet) * _FNV_PRIME) & _MASK_64
     return hashed
 
 

@@ -1,10 +1,11 @@
 """Additional CMS-model tests: waste accounting, fragmentation-forced
 compaction triggering, and tail-latency structure."""
 
-import pytest
+import random
 
 from repro.gc.cms import CMSCollector
-from repro.heap import BandwidthModel, RegionHeap, Space
+from repro.heap import BandwidthModel, RegionHeap
+from repro.heap.heap import SimOutOfMemoryError
 
 
 def make_cms(heap_mb=8, **kwargs):
@@ -76,3 +77,73 @@ class TestTailStructure:
         before = cms.gc_cycles
         cms._concurrent_cycle()
         assert cms.gc_cycles == before
+
+
+class WalkingCMS(CMSCollector):
+    """The reference trigger: recomputes the waste fraction from the
+    region walk on every allocation instead of reading the stored value,
+    and records why each full compaction ran."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.full_reasons = []
+
+    def _maybe_collect(self):
+        if self._eden_full():
+            self.collect_young()
+        if self.heap.occupancy >= self.concurrent_trigger:
+            self._concurrent_cycle()
+        if self._old_waste_fraction() >= self.waste_limit:
+            self.collect_full("fragmentation")
+
+    def collect_full(self, reason):
+        self.full_reasons.append(reason)
+        super().collect_full(reason)
+
+
+def drive_stream(cls, seed=1, steps=3000):
+    """One seeded allocate/kill stream on a 64-region heap whose live set
+    grows until the heap is exhausted; returns (collector, steps run)."""
+    region = 1 << 16
+    cms = cls(
+        RegionHeap(64 * region, region_bytes=region),
+        BandwidthModel(),
+        young_regions=4,
+        tenuring_threshold=1,
+        concurrent_trigger=0.9,
+    )
+    rng = random.Random(seed)
+    held = []
+    for step in range(steps):
+        cms.clock.advance_mutator(rng.randrange(200, 2000))
+        now = cms.clock.now_ns
+        size = rng.randrange(256, 8 << 10)
+        immortal = rng.random() < 0.7
+        death = float("inf") if immortal else now + rng.randrange(1_000, 400_000)
+        try:
+            obj = cms.allocate(size, 0, death)
+        except SimOutOfMemoryError:
+            return cms, step
+        if immortal:
+            held.append(obj)
+        if held and rng.random() < 0.3:
+            held.pop(rng.randrange(len(held))).kill_at(cms.clock.now_ns)
+    return cms, steps
+
+
+class TestStoredWasteFraction:
+    def test_matches_the_per_allocation_walk(self):
+        reference, reference_steps = drive_stream(WalkingCMS)
+        # the stream covers every trigger: concurrent sweeps, compactions
+        # forced by waste, and allocation failures, one of them survived
+        assert reference.concurrent_cycles > 0
+        assert "fragmentation" in reference.full_reasons
+        assert reference.full_reasons.count("allocation-failure") >= 2
+        stored, stored_steps = drive_stream(CMSCollector)
+        assert stored_steps == reference_steps
+        assert stored.pauses == reference.pauses
+        assert stored.clock.now_ns == reference.clock.now_ns
+        assert stored.wasted_bytes == reference.wasted_bytes
+        assert stored.full_compactions == reference.full_compactions
+        assert stored.concurrent_cycles == reference.concurrent_cycles
+        assert stored.waste_fraction == stored._old_waste_fraction()

@@ -150,7 +150,7 @@ class TestQueriesAndStats:
         heap = make_heap(8)
         heap.claim_region(Space.OLD)
         heap.claim_region(Space.OLD)
-        assert heap.occupancy() == pytest.approx(0.25)
+        assert heap.occupancy == pytest.approx(0.25)
 
     def test_used_bytes(self):
         heap = make_heap()

@@ -60,6 +60,46 @@ class TestContextSelection:
         assert type(ctx) is expected
 
 
+class TestContextReuse:
+    """``JavaVM.run`` hands every operation of a thread the same
+    context: a context holds only the thread and per-VM constants."""
+
+    def test_one_context_per_thread(self, exec_backend):
+        vm = make_vm()
+        thread = vm.spawn_thread()
+        assert vm.context(thread) is vm.context(thread)
+        assert vm.context(vm.spawn_thread()) is not vm.context(thread)
+
+    def test_operation_after_an_uncaught_exception_starts_clean(self, exec_backend):
+        vm = make_vm(VMFlags(call_profiling_mode="slow"))
+        thread = vm.spawn_thread()
+        entries = []
+
+        def leaf_body(ctx):
+            ctx.alloc(1, 64, 1_000)
+            ctx.throw_exception("uncaught", 99)  # no frame handles it
+
+        leaf = make_method("leaf", leaf_body)
+
+        def root_body(ctx):
+            entries.append((ctx, list(thread.frames), thread.stack_state))
+            ctx.call(2, leaf)
+
+        root = make_method("root", root_body)
+
+        assert vm.run(thread, root) is None  # records the call site
+        set_increment(root, 2, 0x0303)
+        assert vm.run(thread, root) is None  # unwinds a contribution
+        assert thread.frames == []
+        assert thread.stack_state == thread.expected_stack_state() == 0
+        assert vm.run(thread, root) is None
+        # every operation entered root as the only frame, from state 0
+        assert [(frames, state) for _, frames, state in entries] == [
+            ([(root, None, 0)], 0)
+        ] * 3
+        assert all(ctx is vm.context(thread) for ctx, _, _ in entries)
+
+
 class TestExceptionUnwindThroughAlloc:
     """A method that allocates and then throws: the unwind crosses a
     frame whose call site contributed to the stack state, and — per

@@ -19,7 +19,7 @@ from repro.analysis import (
     set_default_verify_level,
 )
 from repro.analysis.heap_verifier import HeapVerifier
-from repro.gc import G1Collector
+from repro.gc import CMSCollector, G1Collector
 from repro.heap import BandwidthModel, RegionHeap
 from repro.heap import header as hdr
 from repro.heap.object_model import SimObject
@@ -107,6 +107,37 @@ class TestRegionAccountingFaults:
         heap._committed_regions += 1
         violation = expect_violation("heap/committed", heap)
         assert violation.details["committed_bytes"] == heap.committed_bytes
+
+    def test_space_count_drift_fires(self):
+        heap, _ = populated_heap()
+        heap.space_counts[Space.EDEN] += 1  # a claim the walk never saw
+        violation = expect_violation("heap/space-counts", heap)
+        assert violation.details["space"] == "eden"
+        assert violation.details["counted"] == violation.details["walked"] + 1
+
+    def test_stored_occupancy_drift_fires(self):
+        heap, _ = populated_heap()
+        walked = heap.occupancy
+        heap.occupancy += 1 / len(heap.regions)  # a claim the walk never saw
+        violation = expect_violation("heap/occupancy", heap)
+        assert violation.details["occupancy"] == heap.occupancy
+        assert violation.details["expected"] == walked == 2 / 8
+
+    def test_stale_cms_waste_fraction_fires(self):
+        heap = RegionHeap(8 << 20)
+        cms = CMSCollector(heap, BandwidthModel(), young_regions=2, tenuring_threshold=1)
+        objs = [cms.allocate(1024) for _ in range(1024)]
+        cms.collect_young()  # promotes the population to old space
+        for obj in objs[::3]:
+            obj.kill_at(cms.clock.now_ns)
+        cms._concurrent_cycle()  # sweeps in place: waste
+        walked = cms._old_waste_fraction()
+        assert cms.waste_fraction == walked > 0
+        HeapVerifier().verify(heap, collector=cms)
+        cms.waste_fraction = 0.0  # a sweep the stored value never saw
+        violation = expect_violation("gc/waste-fraction", heap, collector=cms)
+        assert violation.details["stored"] == 0.0
+        assert violation.details["walked"] == walked
 
     def test_stale_alloc_cache_fires(self):
         heap, objs = populated_heap()

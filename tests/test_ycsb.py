@@ -1,6 +1,7 @@
 """Tests for the YCSB-style workload generators."""
 
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -15,7 +16,30 @@ from repro.workloads.ycsb import (
     ScrambledZipfianGenerator,
     UniformGenerator,
     ZipfianGenerator,
+    _fnv1a_64,
 )
+
+
+def fnv1a_64_shift_loop(value):
+    """The scrambler as eight shift-and-mask rounds: the reference the
+    byte-loop implementation must equal."""
+    hashed = 0xCBF29CE484222325
+    for _ in range(8):
+        octet = value & 0xFF
+        value >>= 8
+        hashed ^= octet
+        hashed = (hashed * 0x100000001B3) & ((1 << 64) - 1)
+    return hashed
+
+
+class TestFnvScrambler:
+    def test_matches_the_shift_loop(self):
+        rng = random.Random(20190325)
+        values = [0, 255, 256, 2**64 - 1, 2**64 + 5, -1, -256, -(2**63), -(2**70) - 3]
+        values += [rng.getrandbits(80) for _ in range(500)]
+        values += [-rng.getrandbits(80) for _ in range(500)]
+        for value in values:
+            assert _fnv1a_64(value) == fnv1a_64_shift_loop(value), value
 
 
 class TestZipfian:
