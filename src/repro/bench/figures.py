@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.conflicts import worst_case_resolution_ns
 from repro.metrics.pauses import (
-    DEFAULT_PERCENTILES,
     duration_histogram,
     percentile_profile,
 )

@@ -460,6 +460,11 @@ class Runner:
             trace_id = self.trace_ids[key] = derive_trace_id(key, self.seed_for(cell))
         return trace_id
 
+    def holds(self, cell: Cell) -> bool:
+        """Whether the memo holds ``cell``'s result, so that running it
+        simulates nothing and reads no file."""
+        return cell in self._memo
+
     def run(self, cells: Sequence[Cell]) -> List[object]:
         """Execute ``cells``, returning results in the given order.
 
@@ -514,7 +519,10 @@ class Runner:
         file, so handing it to a thread would cost more than the dict
         lookups it does.  Any other batch runs on ``executor`` (or the
         loop's default), so simulations and disk-cache reads never block
-        the loop that is multiplexing sessions.
+        the loop that is multiplexing sessions.  (The fleet server's
+        batcher answers a memo-held job at admission, through
+        :meth:`run`, when it is idle; the memo-held jobs that still
+        reach this method are those queued while it was busy or paused.)
 
         The runner itself is not thread-safe; callers that share one
         runner across tasks (the fleet server's batcher) must serialize
@@ -522,7 +530,7 @@ class Runner:
         path never overlaps a batch still running on the executor.
         """
         cells = list(cells)
-        if all(cell in self._memo for cell in cells):
+        if all(self.holds(cell) for cell in cells):
             return self.run(cells)
         import asyncio
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.workloads.adversarial import make_adversarial
-from repro.workloads.base import RunResult, Workload, run_workload
+from repro.workloads.base import Workload, run_workload
 from repro.workloads.graph import GraphChiWorkload
 from repro.workloads.kvstore import CassandraWorkload
 from repro.workloads.search import LuceneWorkload

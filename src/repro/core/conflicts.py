@@ -23,7 +23,7 @@ quantifies via :func:`worst_case_resolution_ns`.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from repro.runtime.method import CallSite
 from repro.telemetry import NULL_TELEMETRY

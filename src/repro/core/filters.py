@@ -12,7 +12,7 @@ itself and every sub-package (``cassandra.db`` matches
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 def _package_matches(package: str, prefix: str) -> bool:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 from typing import Dict, Optional, Tuple
 
-from repro.heap.object_model import SimObject
 from repro.runtime.hooks import NullProfiler
 from repro.runtime.method import AllocSite, Method
 from repro.runtime.thread import SimThread

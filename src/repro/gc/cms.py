@@ -13,8 +13,6 @@ tail-latency failure mode, visible in the paper's Figures 8 and 9.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.heap.region import Space
 from repro.gc.generational import GenerationalCollector
 

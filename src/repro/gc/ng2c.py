@@ -21,11 +21,11 @@ statistics feed ROLP's lifetime-decrement loop (paper Section 6).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.heap.fragmentation import dead_bytes_by_context, guilty_contexts
 from repro.heap.header import NUM_AGES
-from repro.heap.region import Region, Space
+from repro.heap.region import Space
 from repro.gc.g1 import G1Collector
 
 #: generation number meaning "the old generation" in NG2C's scheme

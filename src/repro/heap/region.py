@@ -10,7 +10,7 @@ liveness oracle to choose collection sets and compute copy costs.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from repro.heap.object_model import SimObject
 

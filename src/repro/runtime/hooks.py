@@ -12,7 +12,7 @@ dependency: the core profiler imports the runtime, never the reverse.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.heap.object_model import SimObject

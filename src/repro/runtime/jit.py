@@ -18,7 +18,7 @@ parts of HotSpot's JIT that matter for that decision:
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from repro.heap.header import MASK_16
 from repro.runtime.hooks import NullProfiler

@@ -17,7 +17,7 @@ only).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, Set
 
 
 class AllocSite:

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 from repro.analysis import VERIFY_LEVELS, default_verify_level, make_verifier
 from repro.fastpath import fast_paths_enabled
 from repro.heap.header import install_context
-from repro.heap.object_model import IMMORTAL, SimObject
+from repro.heap.object_model import SimObject
 from repro.runtime.biased_lock import BiasedLockManager
 from repro.runtime.clock import SimClock
 from repro.runtime.exceptions import SimException

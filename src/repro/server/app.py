@@ -29,9 +29,9 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, NoReturn, Optional, Tuple
 
-from repro.bench.runner import Runner, make_cell
+from repro.bench.runner import Cell, Runner, make_cell
 from repro.server import jobs as jobs_mod
 from repro.server.batcher import (
     AdmissionQueueFull,
@@ -78,21 +78,33 @@ class Request:
 
 @dataclass
 class Response:
-    """One response: status + JSON body (or raw text for Prometheus)."""
+    """One response: status + JSON body (or raw text for Prometheus).
+
+    ``raw`` is the body already encoded, for a job reply the app has
+    built before; such a ``body`` is shared between replies and must not
+    be mutated.
+    """
 
     status: int
     body: Optional[dict] = None
     text: Optional[str] = None
     headers: Dict[str, str] = field(default_factory=dict)
+    raw: Optional[bytes] = None
 
     @property
     def content_type(self) -> str:
         return "application/json" if self.text is None else "text/plain; charset=utf-8"
 
     def encoded(self) -> bytes:
+        if self.raw is not None:
+            return self.raw
         if self.text is not None:
             return self.text.encode()
         return (jobs_mod.canonical_json(self.body) + "\n").encode()
+
+
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError("%s is not a JSON number" % name)
 
 
 def _error(reason: str, detail: str, **headers: str) -> Response:
@@ -137,6 +149,11 @@ class ServerApp:
         )
         self.request_timeout_s = request_timeout_s
         self._reaper_task: Optional[asyncio.Task] = None
+        #: (cell key, step index or None for a run job) -> the job reply's
+        #: body and encoding: the reply is a pure function of the cell,
+        #: so one entry per answered cell and route, as in the runner's
+        #: memo, which already keeps every result
+        self._replies: Dict[Tuple[str, Optional[int]], Tuple[dict, bytes]] = {}
 
     # -------------------------------------------------------------- lifecycle
 
@@ -252,13 +269,15 @@ class ServerApp:
 
     @staticmethod
     def _parse_body(request: Request, schema_name: str) -> dict:
-        """Decode + schema-validate a JSON object body (empty = ``{}``)."""
+        """Decode + schema-validate a JSON object body (empty = ``{}``).
+        ``NaN`` and ``±Infinity`` are not JSON: they would pass every
+        ``minimum`` check (a NaN idle timeout never expires)."""
         raw = request.body.strip()
         if not raw:
             body: object = {}
         else:
             try:
-                body = json.loads(raw)
+                body = json.loads(raw, parse_constant=_reject_constant)
             except ValueError:
                 raise jobs_mod.JobValidationError(
                     "malformed-body", "request body is not valid JSON"
@@ -353,7 +372,10 @@ class ServerApp:
     async def _await_result(self, future: "asyncio.Future") -> object:
         """Await an admitted job under the per-request deadline.  The
         shield keeps a timed-out job executing — a timeout abandons the
-        *wait*, never tears a job out of a batch mid-flight."""
+        *wait*, never tears a job out of a batch mid-flight.  A job
+        answered at admission has nothing to wait for."""
+        if future.done():
+            return future.result()
         if self.request_timeout_s is not None:
             return await asyncio.wait_for(
                 asyncio.shield(future), self.request_timeout_s
@@ -379,13 +401,8 @@ class ServerApp:
         # admission may 429; only an *admitted* job counts against the
         # session (submit and note are synchronous — no interleaving)
         future = self.batcher.submit(cell)
-        seed = self.runner.seed_for(cell)
-        trace_id = self.runner.trace_id_for(cell)
-        self.manager.note_job(session, cell.key, trace_id)
-        result = await self._await_result(future)
-        return Response(
-            200, envelope("job", jobs_mod.job_payload(cell, seed, trace_id, result))
-        )
+        self.manager.note_job(session, cell.key, self.runner.trace_id_for(cell))
+        return self._job_reply(cell, await self._await_result(future), None)
 
     async def _step(self, sid: str, request: Request) -> Response:
         session = self._require_session(sid)
@@ -409,12 +426,25 @@ class ServerApp:
                 "step counter raced on session %s: claimed %d, expected %d"
                 % (session.id, claimed, step)
             )
-        seed = self.runner.seed_for(cell)
-        result = await self._await_result(future)
-        payload = jobs_mod.job_payload(cell, seed, self.runner.trace_id_for(cell), result)
-        response = envelope("job", payload)
-        response["step"] = step
-        return Response(200, response)
+        return self._job_reply(cell, await self._await_result(future), step)
+
+    def _job_reply(self, cell: Cell, result: object, step: Optional[int]) -> Response:
+        """The 200 reply to a ``run`` job (``step`` None) or a ``step``
+        job, built and encoded once per cell and route; each request
+        gets its own :class:`Response` around the stored body."""
+        key = (cell.key, step)
+        reply = self._replies.get(key)
+        if reply is None:
+            body = envelope(
+                "job",
+                jobs_mod.job_payload(
+                    cell, self.runner.seed_for(cell), self.runner.trace_id_for(cell), result
+                ),
+            )
+            if step is not None:
+                body["step"] = step
+            reply = self._replies[key] = (body, Response(200, body).encoded())
+        return Response(200, reply[0], raw=reply[1])
 
     # ------------------------------------------------------------- monitoring
 

@@ -5,19 +5,29 @@ that must simulate or read the disk cache crosses into an executor
 thread and possibly a worker pool), so the server admits jobs into a
 bounded queue and a single worker task drains them in *batches* of up
 to ``max_batch``, handing each batch to one
-:meth:`repro.bench.runner.Runner.run_async` call.  A batch the runner's
-memo already holds entirely is answered on the loop thread without that
-crossing: the worker awaits each batch before taking the next, so the
-runner is still used by one thread at a time, and such a batch holds
-the loop for at most ``max_batch`` memo lookups (a run of them, drained
-back to back, for at most ``queue_limit``).  Coalescing changes
-throughput only, never results: cells are content-addressed (kind +
-params + derived seed), the runner memo/cache deduplicates identical
-cells inside and across batches, and the per-job payload is a pure
-function of the cell — so a job's bytes are identical whether it ran
-alone, in a batch of 16, or was served from cache (the AppScale
-datastore's BatchStatement coalescing is the exemplar; the determinism
-contract is this repo's own).
+:meth:`repro.bench.runner.Runner.run_async` call.
+
+A job whose result the runner's memo already holds skips all of that
+when the batcher is idle — the queue empty, no batch awaiting the
+executor, not paused: :meth:`JobBatcher.submit` runs it through
+``Runner.run`` at once and returns a resolved future.  Nothing is queued
+and nothing is in flight, so the runner is still used by one thread at a
+time and no job overtakes one admitted before it.  Memo-held jobs that
+arrive while the batcher is busy or paused still queue and reach the
+worker; a batch the memo holds entirely is then answered on the loop
+thread without the executor crossing: the worker awaits each batch
+before taking the next, and such a batch holds the loop for at most
+``max_batch`` memo lookups (a run of them, drained back to back, for at
+most ``queue_limit``).
+
+Coalescing and admission answers change throughput only, never
+results: cells are content-addressed (kind + params + derived seed), the
+runner memo/cache deduplicates identical cells inside and across
+batches, and the per-job payload is a pure function of the cell — so a
+job's bytes are identical whether it ran alone, in a batch of 16, was
+answered at admission or was served from cache (the AppScale datastore's
+BatchStatement coalescing is the exemplar; the determinism contract is
+this repo's own).
 
 Backpressure is explicit, not implicit: when the queue is full,
 :meth:`JobBatcher.submit` raises :class:`AdmissionQueueFull` and the app
@@ -89,6 +99,9 @@ class JobBatcher:
         self._wake = asyncio.Event()
         self._paused = False
         self._stopped = False
+        #: a batch is awaiting the executor (a memo-held batch, answered
+        #: on the loop thread, never suspends the worker)
+        self._in_flight = False
         self._worker_task: Optional[asyncio.Task] = None
         # single worker thread for the batches that simulate or read the
         # disk cache (memo-only batches never reach it); the worker task
@@ -98,7 +111,9 @@ class JobBatcher:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="rolp-batch"
         )
-        # monotonic books: accepted == resolved + failed + abandoned + queued
+        # monotonic books: accepted == completed + failed + abandoned +
+        # queued; a job answered at admission counts in accepted and
+        # completed, never in batches
         self.accepted = 0
         self.rejected = 0
         self.batches = 0
@@ -161,8 +176,9 @@ class JobBatcher:
 
     def submit(self, cell: Cell) -> "asyncio.Future":
         """Admit one job; returns the future resolving to its cell
-        result.  Raises :class:`AdmissionQueueFull` when the queue is at
-        capacity — the job was *not* admitted."""
+        result, already resolved when the batcher is idle and the
+        runner's memo holds the cell.  Raises :class:`AdmissionQueueFull`
+        when the queue is at capacity — the job was *not* admitted."""
         if self._stopped:
             raise ServerStopping()
         if len(self._queue) >= self.queue_limit:
@@ -173,14 +189,20 @@ class JobBatcher:
                 ).inc()
             raise AdmissionQueueFull(self.queue_limit)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._queue.append(_Job(cell, future))
+        if not (self._queue or self._in_flight or self._paused) and self.runner.holds(cell):
+            # idle: no admitted job can be overtaken, and no batch is
+            # using the runner on the executor thread
+            future.set_result(self.runner.run([cell])[0])
+            self.completed += 1
+        else:
+            self._queue.append(_Job(cell, future))
+            self._gauge()
+            self._wake.set()
         self.accepted += 1
         if self.metrics is not None:
             self.metrics.counter(
-                "server_jobs_accepted_total", "jobs admitted to the queue"
+                "server_jobs_accepted_total", "jobs queued or answered at admission"
             ).inc()
-        self._gauge()
-        self._wake.set()
         return future
 
     # -------------------------------------------------------------- execution
@@ -201,6 +223,7 @@ class JobBatcher:
                 ]
                 self._gauge()
                 cells = [job.cell for job in batch]
+                self._in_flight = True
                 try:
                     results = await self.runner.run_async(cells, self._executor)
                 except Exception as exc:  # fail the batch, keep serving
@@ -213,6 +236,8 @@ class JobBatcher:
                         if not job.future.done():
                             job.future.set_exception(error)
                     continue
+                finally:
+                    self._in_flight = False
                 self.batches += 1
                 self.completed += len(batch)
                 if self.metrics is not None:

@@ -13,7 +13,7 @@ the :class:`NullMetrics` default that call is a no-op.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 #: default buckets for the GC pause-time histogram, mirroring Figure 9's
 #: duration intervals (upper edges in ms; the last bucket is open)

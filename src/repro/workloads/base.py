@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import build_vm
-from repro.core import PackageFilter, RolpConfig, RolpProfiler
+from repro.core import PackageFilter, RolpConfig
 from repro.gc.collector import PauseEvent
 from repro.metrics.pauses import duration_histogram, percentile_profile
 from repro.metrics.throughput import ThroughputMeter

@@ -29,7 +29,7 @@ unchanged.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.heap.object_model import SimObject
 from repro.runtime import JavaVM, Method

@@ -27,7 +27,7 @@ packages.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.heap.object_model import SimObject
 from repro.runtime import JavaVM, Method

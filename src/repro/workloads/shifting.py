@@ -21,7 +21,7 @@ profile they degrade at the shift and never recover.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.heap.object_model import SimObject
 from repro.runtime import JavaVM, Method

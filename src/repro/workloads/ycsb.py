@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 #: YCSB's default zipfian skew
 ZIPFIAN_CONSTANT = 0.99

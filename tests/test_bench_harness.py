@@ -1,8 +1,6 @@
 """Tests for the benchmark harness itself (registry, config, renderers)
 at tiny scales — the full-size assertions live in benchmarks/."""
 
-import os
-
 import pytest
 
 from repro.bench import config

@@ -1,6 +1,5 @@
 """Tests for the biased-locking model and its profiling side effects."""
 
-from repro.heap import header as hdr
 from repro.heap.object_model import SimObject
 from repro.runtime.biased_lock import BiasedLockManager
 from repro.runtime.thread import SimThread

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.runtime.clock import NS_PER_MS, NS_PER_S, SimClock
+from repro.runtime.clock import NS_PER_S, SimClock
 
 durations = st.lists(
     st.floats(min_value=0, max_value=1e9, allow_nan=False), max_size=30

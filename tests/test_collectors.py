@@ -2,8 +2,6 @@
 mixed collections, CMS's full compactions, ZGC's concurrent cycles, and
 NG2C's pretenuring placement."""
 
-import pytest
-
 from repro.gc.cms import CMSCollector
 from repro.gc.g1 import G1Collector
 from repro.gc.ng2c import NG2CCollector, OLD_GEN

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.conflicts import ConflictResolver, worst_case_resolution_ns
-from repro.runtime.method import CallSite, Method
+from repro.runtime.method import Method
 
 
 def make_sites(n):

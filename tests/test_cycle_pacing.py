@@ -4,7 +4,7 @@ pretenured allocation bypasses eden entirely)."""
 
 from repro.gc.g1 import G1Collector
 from repro.gc.ng2c import NG2CCollector
-from repro.heap import BandwidthModel, RegionHeap, Space
+from repro.heap import BandwidthModel, RegionHeap
 
 
 def make(cls, heap_mb=16, **kwargs):

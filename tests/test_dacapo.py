@@ -5,12 +5,11 @@ import pytest
 from repro.workloads.base import run_workload
 from repro.workloads.dacapo import (
     DACAPO_SPECS,
-    DaCapoWorkload,
     SPEC_BY_NAME,
     get_spec,
     make_dacapo,
 )
-from repro.workloads.dacapo.synthetic import LONG, MEDIUM, YOUNG
+from repro.workloads.dacapo.synthetic import MEDIUM, YOUNG
 
 
 class TestSpecs:
@@ -90,7 +89,7 @@ class TestWorkloadStructure:
 class TestExecution:
     def test_medium_objects_expire(self):
         workload = make_dacapo("h2")
-        result = run_workload(workload, "g1", operations=2000)
+        run_workload(workload, "g1", operations=2000)
         # the expiry queue drained at least partially
         assert len(workload.medium_queue._queue) < 10_000
 

@@ -115,7 +115,9 @@ class TestShrinking:
     def test_preserves_predicate(self):
         # keep at least 8 collision sites: the shrink must stop right
         # at the boundary, never below it
-        holds = lambda g: g.collision_sites >= 8
+        def holds(genome):
+            return genome.collision_sites >= 8
+
         shrunk = fuzz.shrink_genome(HOSTILE_DEFAULT, holds)
         assert holds(shrunk)
         assert shrunk.collision_sites == 8

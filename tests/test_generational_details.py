@@ -4,7 +4,6 @@ survivor-profiling pause costs."""
 
 from repro.gc.g1 import G1Collector
 from repro.heap import BandwidthModel, RegionHeap, Space
-from repro.heap.object_model import IMMORTAL
 from repro.runtime.hooks import NullProfiler
 from repro.runtime.vm import JavaVM
 

@@ -1,6 +1,5 @@
 """Unit and property tests for the 64-bit object header bit model."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 

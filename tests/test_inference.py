@@ -1,7 +1,6 @@
 """Tests for lifetime inference: peak detection, triangle separation,
 inflow correction, conflict flagging, and the inference engine."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 

@@ -66,7 +66,7 @@ class TestLifecycle:
 
     def test_row_cache_bounded_with_eviction(self):
         workload = small_workload()
-        result = run_workload(workload, "g1", operations=5000, heap_mb=32)
+        run_workload(workload, "g1", operations=5000, heap_mb=32)
         assert len(workload.row_cache) <= workload.row_cache_entries
         # evicted entries are dead
         now = workload.vm.clock.now_ns
@@ -100,7 +100,7 @@ class TestConflictStructure:
         # with enough volume to survive the conflict debounce.  (The
         # full-size claim lives in benchmarks/test_table1_*.)
         workload = CassandraWorkload.write_intensive()
-        result = run_workload(workload, "rolp", operations=50_000)
+        run_workload(workload, "rolp", operations=50_000)
         profiler = workload.vm.profiler
         assert profiler.resolver.conflicts_seen >= 1
 
@@ -114,12 +114,12 @@ class TestAnnotations:
 
     def test_ng2c_pretenures_from_hints(self):
         workload = small_workload()
-        result = run_workload(workload, "ng2c", operations=3000, heap_mb=32)
+        run_workload(workload, "ng2c", operations=3000, heap_mb=32)
         assert workload.vm.collector.pretenured_objects > 0
 
     def test_g1_ignores_hints(self):
         workload = small_workload()
-        result = run_workload(workload, "g1", operations=1000, heap_mb=32)
+        run_workload(workload, "g1", operations=1000, heap_mb=32)
         # G1 has no pretenuring machinery at all
         assert not hasattr(workload.vm.collector, "pretenured_objects")
 

@@ -8,7 +8,6 @@ from repro.gc import G1Collector
 from repro.heap import RegionHeap
 from repro.metrics.memory import MemoryReport, measure
 from repro.metrics.pauses import (
-    DEFAULT_INTERVALS_MS,
     duration_histogram,
     percentile,
     percentile_profile,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.heap.header import MAX_AGE, NUM_AGES
+from repro.heap.header import MAX_AGE
 from repro.core.context import encode
 from repro.core.old_table import STEP_BYTES, OldTable, WorkerTable
 

@@ -1,12 +1,10 @@
 """End-to-end tests of the ROLP profiler against a small driven VM."""
 
-import pytest
-
 from repro import build_vm
-from repro.core import PackageFilter, RolpConfig, RolpProfiler
+from repro.core import PackageFilter, RolpConfig
 from repro.core.context import context_site, encode
 from repro.heap.object_model import SimObject
-from repro.runtime import Method, SimThread
+from repro.runtime import Method
 
 
 def rolp_vm(heap_mb=16, **config_kwargs):

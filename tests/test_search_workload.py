@@ -38,7 +38,7 @@ class TestMix:
 class TestSegmentLifecycle:
     def test_flush_creates_segment_and_kills_ram_blocks(self):
         workload = small_workload()
-        result = run_workload(workload, "g1", operations=2000, heap_mb=32)
+        run_workload(workload, "g1", operations=2000, heap_mb=32)
         assert workload.flushes >= 1
         assert workload.ram_bytes < workload.ram_buffer_bytes
 
@@ -71,7 +71,7 @@ class TestProfiling:
 
     def test_rolp_learns_ram_buffer_lifetime(self):
         workload = small_workload()
-        result = run_workload(workload, "rolp", operations=15_000, heap_mb=32)
+        run_workload(workload, "rolp", operations=15_000, heap_mb=32)
         profiler = workload.vm.profiler
         # the RAMFile append site is instrumented and eventually advised
         assert workload.m_ram_append.instrumented

@@ -15,6 +15,7 @@ latencies.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -265,14 +266,23 @@ class TestPayloadConstruction:
 
 
 class TestMemoAnsweredJobs:
-    def test_repeated_step_is_answered_without_the_executor(self):
+    def test_repeated_step_is_answered_without_the_executor(self, monkeypatch):
         """Two sessions with the same bindings ask for the same step
         cell: the first job simulates it on the batcher's executor, the
-        second is answered from the runner's memo on the loop thread,
-        with the same bytes."""
+        second is answered at admission from the runner's memo — no
+        ``run_async`` call, no executor, no batch and no deadline timer
+        — with the same bytes."""
         cell = make_cell(
             "session_step", workload="lucene", collector="g1", operations=OPS, step=0
         )
+        shields = []
+        shield = asyncio.shield
+
+        def counting_shield(awaitable):
+            shields.append(awaitable)
+            return shield(awaitable)
+
+        monkeypatch.setattr(asyncio, "shield", counting_shield)
 
         async def scenario():
             app = ServerApp(runner=Runner(jobs=1, cache=None))
@@ -294,27 +304,77 @@ class TestMemoAnsweredJobs:
             await app.startup()
             client = TestClient(app)
             bindings = {"workload": "lucene", "collector": "g1", "operations": OPS}
-            jobs, submits = [], []
+            jobs, submits, timers = [], [], []
             for _ in range(2):
                 sid = (await client.post("/v1/sessions", bindings)).json()["session"]["id"]
+                before = len(shields)
                 response = await client.post("/v1/sessions/%s/step" % sid, {"ops": OPS})
                 assert response.status == 200
                 jobs.append(canonical_json(response.json()["job"]).encode())
                 submits.append(len(submitted))
+                timers.append(len(shields) - before)
             counters = app.batcher.counters()
             await app.shutdown()
-            return app, jobs, submits, counters, run_async_calls
+            return app, jobs, submits, timers, counters, run_async_calls
 
-        app, jobs, submits, counters, run_async_calls = run(scenario())
+        app, jobs, submits, timers, counters, run_async_calls = run(scenario())
         assert submits == [1, 1]
+        assert timers == [1, 0]
         (expected,) = expected_payloads([cell], app.base_seed)
         assert jobs[0] == jobs[1] == canonical_json(expected).encode()
         assert counters["accepted"] == counters["completed"] == 2
+        assert counters["batches"] == 1
         assert counters["failed"] == counters["abandoned"] == counters["rejected"] == 0
-        assert run_async_calls == [[cell], [cell]]
-        assert len(run_async_calls) == counters["batches"]
+        assert run_async_calls == [[cell]]
         assert app.runner.stats.simulations == 1
         assert app.runner.stats.memo_hits == 1
+
+    def test_reply_is_built_once_per_cell_and_route(self, monkeypatch):
+        """Two sessions' identical step and run jobs share one reply
+        each: ``job_payload`` (with its fingerprint) runs once per cell
+        and route.  A run job naming the step cell explicitly is its own
+        route: its reply carries no step index."""
+        built = []
+
+        def counting(cell, seed, trace_id, result):
+            built.append(cell.key)
+            return real_job_payload(cell, seed, trace_id, result)
+
+        real_job_payload = jobs_mod.job_payload
+        monkeypatch.setattr(jobs_mod, "job_payload", counting)
+        step_cell = make_cell(
+            "session_step", workload="lucene", collector="g1", operations=OPS, step=0
+        )
+
+        async def scenario():
+            app = ServerApp(runner=Runner(jobs=1, cache=None))
+            await app.startup()
+            client = TestClient(app)
+            bindings = {"workload": "lucene", "collector": "g1", "operations": OPS}
+            replies = []
+            for _ in range(2):
+                sid = (await client.post("/v1/sessions", bindings)).json()["session"]["id"]
+                stepped = await client.post("/v1/sessions/%s/step" % sid, {"ops": OPS})
+                ran = await client.post("/v1/sessions/%s/run" % sid)
+                replies.append((stepped.raw, ran.raw))
+            named = await client.post(
+                "/v1/sessions/%s/run" % sid,
+                {"kind": "session_step", "params": dict(step_cell.params)},
+            )
+            await app.shutdown()
+            return app, replies, named, list(built)
+
+        app, replies, named, builds = run(scenario())
+        assert replies[0] == replies[1]
+        step_body = json.loads(replies[0][0])
+        assert step_body["step"] == 0
+        assert canonical_json(step_body["job"]) == canonical_json(
+            expected_payloads([step_cell], app.base_seed)[0]
+        )
+        assert "step" not in named.json()
+        assert named.json()["job"] == step_body["job"]
+        assert len(builds) == 3
+        assert builds.count(step_cell.key) == 2  # the step route and the run route
 
     def test_repeated_step_derives_no_seed(self, monkeypatch):
         """The runner keeps each cell's seed: the first step derives it

@@ -44,6 +44,39 @@ def run(coro):
     return asyncio.run(coro)
 
 
+class GateRunner:
+    """A runner fake: its memo holds the cells in ``memo`` (``run``
+    answers them at once) and each ``run_async`` batch waits for
+    ``release``."""
+
+    def __init__(self, memo=()):
+        self.memo = set(memo)
+        self.entered = asyncio.Event()
+        self.release = asyncio.Event()
+        self.runs = []
+        self.batches = []
+
+    def holds(self, cell):
+        return cell in self.memo
+
+    def run(self, cells):
+        self.runs.append(list(cells))
+        return [{"ok": cell.key} for cell in cells]
+
+    async def run_async(self, cells, executor):
+        self.batches.append(list(cells))
+        self.entered.set()
+        await self.release.wait()
+        return [{"ok": cell.key} for cell in cells]
+
+
+def trace_cells(count):
+    return [
+        make_cell("trace_run", workload="lucene", collector="g1", operations=OPS + i)
+        for i in range(count)
+    ]
+
+
 def make_app(**kwargs):
     kwargs.setdefault("clock", FakeClock())
     return ServerApp(runner=Runner(jobs=1, cache=None), **kwargs)
@@ -324,16 +357,20 @@ class TestErrorEnvelopes:
         async def scenario():
             app = make_app()
             client = await started(app)
-            check_error(
-                await client.post("/v1/sessions", raw_body=b"{not json"),
-                400,
-                "malformed-body",
-            )
-            check_error(
-                await client.post("/v1/sessions", raw_body=b"[1, 2]"),
-                400,
-                "malformed-body",
-            )
+            for raw_body in (
+                b"{not json",
+                b"[1, 2]",
+                # not JSON numbers (a NaN passes every `minimum` check)
+                b'{"idle_timeout_s": NaN}',
+                b'{"idle_timeout_s": Infinity}',
+                b'{"operations": -Infinity}',
+            ):
+                check_error(
+                    await client.post("/v1/sessions", raw_body=raw_body),
+                    400,
+                    "malformed-body",
+                )
+            assert app.manager.ids() == []
             await app.shutdown()
 
         run(scenario())
@@ -631,29 +668,11 @@ class TestBatcherShutdown:
         fails still-queued jobs with ServerStopping instead of draining
         the whole backlog first."""
 
-        class GateRunner:
-            def __init__(self):
-                self.entered = asyncio.Event()
-                self.release = asyncio.Event()
-
-            async def run_async(self, cells, executor):
-                self.entered.set()
-                await self.release.wait()
-                return [{"ok": cell.key} for cell in cells]
-
         async def scenario():
             runner = GateRunner()
             batcher = JobBatcher(runner, queue_limit=8, max_batch=1)
             batcher.start()
-            cells = [
-                make_cell(
-                    "trace_run",
-                    workload="lucene",
-                    collector="g1",
-                    operations=OPS + i,
-                )
-                for i in range(3)
-            ]
+            cells = trace_cells(3)
             futures = [batcher.submit(cell) for cell in cells]
             await runner.entered.wait()  # worker is mid-batch with job 0
             stop_task = asyncio.ensure_future(batcher.stop())
@@ -666,6 +685,120 @@ class TestBatcherShutdown:
                     await future
             assert batcher.completed == 1
             assert batcher.abandoned == 2
+
+        run(scenario())
+
+    def test_memo_held_job_after_stop_is_503(self):
+        """A stopped server answers no job at admission, not even one
+        its runner's memo holds."""
+
+        async def scenario():
+            app = make_app()
+            client = await started(app)
+            bindings = {"workload": "lucene", "collector": "g1", "operations": OPS}
+            sids = [
+                (await client.post("/v1/sessions", bindings)).json()["session"]["id"]
+                for _ in range(2)
+            ]
+            check(await client.post("/v1/sessions/%s/step" % sids[0], {"ops": OPS}), 200)
+            held = make_cell(
+                "session_step", workload="lucene", collector="g1", operations=OPS, step=0
+            )
+            assert app.runner.holds(held)
+            await app.shutdown()
+            check_error(
+                await client.post("/v1/sessions/%s/step" % sids[1], {"ops": OPS}),
+                503,
+                "server-stopping",
+            )
+            counters = app.batcher.counters()
+            assert counters["accepted"] == counters["completed"] == 1
+
+        run(scenario())
+
+
+class TestAdmissionAnswer:
+    """``submit`` answers a memo-held job itself only when the batcher
+    is idle: the queue empty, no batch awaiting the executor, not
+    paused.  Otherwise the job queues and reaches ``run_async``."""
+
+    def test_idle_batcher_answers_a_memo_held_job_at_once(self):
+        async def scenario():
+            (held,) = trace_cells(1)
+            runner = GateRunner(memo=[held])
+            batcher = JobBatcher(runner)
+            batcher.start()
+            future = batcher.submit(held)
+            assert future.done()
+            assert future.result() == {"ok": held.key}
+            assert runner.runs == [[held]]
+            assert runner.batches == []
+            counters = batcher.counters()
+            assert counters["accepted"] == counters["completed"] == 1
+            assert counters["batches"] == 0
+            await batcher.stop()
+
+        run(scenario())
+
+    def test_paused_batcher_queues_a_memo_held_job(self):
+        async def scenario():
+            (held,) = trace_cells(1)
+            runner = GateRunner(memo=[held])
+            runner.release.set()
+            batcher = JobBatcher(runner)
+            batcher.start()
+            batcher.pause()
+            future = batcher.submit(held)
+            assert not future.done()
+            assert batcher.depth == 1
+            batcher.resume()
+            assert await future == {"ok": held.key}
+            assert runner.batches == [[held]]
+            assert runner.runs == []
+            await batcher.stop()
+
+        run(scenario())
+
+    def test_memo_held_job_queues_behind_a_batch_in_flight(self):
+        async def scenario():
+            fresh, held = trace_cells(2)
+            runner = GateRunner(memo=[held])
+            batcher = JobBatcher(runner)
+            batcher.start()
+            first = batcher.submit(fresh)
+            await runner.entered.wait()  # the worker awaits the executor
+            assert batcher.depth == 0
+            second = batcher.submit(held)
+            assert not second.done()
+            assert batcher.depth == 1
+            runner.release.set()
+            assert await first == {"ok": fresh.key}
+            assert await second == {"ok": held.key}
+            assert runner.batches == [[fresh], [held]]
+            assert runner.runs == []
+            assert batcher.counters()["batches"] == 2
+            await batcher.stop()
+
+        run(scenario())
+
+    def test_memo_held_job_queues_behind_a_queued_job(self):
+        async def scenario():
+            fresh, held = trace_cells(2)
+            runner = GateRunner(memo=[held])
+            runner.release.set()
+            batcher = JobBatcher(runner)
+            batcher.start()
+            first = batcher.submit(fresh)  # queued: the worker has not run
+            second = batcher.submit(held)
+            assert not second.done()
+            assert batcher.depth == 2
+            assert await asyncio.gather(first, second) == [
+                {"ok": fresh.key},
+                {"ok": held.key},
+            ]
+            assert runner.batches == [[fresh, held]]
+            assert runner.runs == []
+            await batcher.stop()
 
         run(scenario())
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.heap.object_model import IMMORTAL
 from repro.workloads.base import run_workload
 from repro.workloads.shifting import PhaseShiftWorkload
 
@@ -46,9 +45,6 @@ class TestPhases:
             shift_at_op=0, residual_cache_fraction=0.10
         )
         run_workload(workload, "g1", operations=1000, heap_mb=24)
-        cached = len(workload.cache) + workload.cache_bytes // max(
-            1, workload.object_bytes
-        )
         # ~10% of 1000 allocations cached (no eviction at this volume)
         assert 60 <= len(workload.cache) <= 140
 

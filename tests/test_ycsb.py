@@ -1,6 +1,5 @@
 """Tests for the YCSB-style workload generators."""
 
-import math
 import random
 from collections import Counter
 

@@ -45,8 +45,10 @@ class TestPauseStructure:
         are accounted as concurrent work."""
         zgc = make_zgc(occupancy_trigger=0.05)
         zgc.min_cycle_alloc_bytes = 0
-        live = [zgc.allocate(1024) for _ in range(256)]
-        dead = [zgc.allocate(1024, death_time_ns=zgc.clock.now_ns + 1) for _ in range(256)]
+        for _ in range(256):
+            zgc.allocate(1024)  # live
+        for _ in range(256):
+            zgc.allocate(1024, death_time_ns=zgc.clock.now_ns + 1)
         zgc.clock.advance_mutator(1000)
         zgc._concurrent_cycle()  # classifies
         zgc._concurrent_cycle()  # relocates
