@@ -57,9 +57,15 @@ _SCALAR_TYPES = (str, int, float, bool, type(None))
 
 # --------------------------------------------------------------------------- cells
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cell:
-    """One independent unit of the experiment grid."""
+    """One independent unit of the experiment grid.
+
+    Two cells are equal when their :attr:`key` is: the seed, the trace
+    id and the cache entry all derive from the key, and comparing the
+    parameter values instead would equate ``step=1`` with ``step=True``
+    (``1 == True``), two keys with different seeds.
+    """
 
     kind: str
     params: Tuple[Tuple[str, object], ...]
@@ -72,6 +78,14 @@ class Cell:
             self.kind,
             ", ".join("%s=%r" % item for item in self.params),
         )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Cell):
+            return NotImplemented
+        return self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
 
     def __getstate__(self) -> Dict[str, object]:
         # the fields only: reading the key must not change the pickle

@@ -8,13 +8,7 @@ the survivor-tracking controller.
 
 from repro.core.advice import AdviceTable
 from repro.core.conflicts import ConflictResolver, worst_case_resolution_ns
-from repro.core.context import (
-    context_site,
-    context_stack_state,
-    encode,
-    is_plausible,
-    site_base_context,
-)
+from repro.core.context import context_site, context_stack_state, encode
 from repro.core.filters import PackageFilter
 from repro.core.inference import (
     CurveAnalysis,
@@ -49,7 +43,5 @@ __all__ = [
     "distinct_triangles",
     "encode",
     "find_peaks",
-    "is_plausible",
-    "site_base_context",
     "worst_case_resolution_ns",
 ]

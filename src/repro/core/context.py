@@ -7,50 +7,22 @@ thread's 16-bit stack state in the low half.
 
 The bit layout lives in :mod:`repro.heap.header` (it must, because the
 context is stored in the object header); this module re-exports the
-operations under profiling-centric names and adds the validity checks
-ROLP applies before trusting a context read back from a header.
+operations under profiling-centric names.  ROLP trusts a context read
+back from a header only when the OLD table knows its site — the
+paper's discard-if-not-in-table rule, applied by
+:meth:`repro.core.old_table.OldTable.is_known_context`.
 """
 
 from __future__ import annotations
 
-from repro.heap.header import (
-    MASK_16,
-    MASK_32,
-    context_site,
-    context_stack_state,
-    pack_context,
-)
+from repro.heap.header import context_site, context_stack_state, pack_context
 
 __all__ = [
-    "MASK_16",
-    "MASK_32",
     "context_site",
     "context_stack_state",
     "encode",
-    "is_plausible",
     "pack_context",
-    "site_base_context",
 ]
 
 #: encode(site_id, stack_state) -> 32-bit context
 encode = pack_context
-
-
-def site_base_context(site_id: int) -> int:
-    """The context of an allocation at ``site_id`` with zero stack state
-    — the only contexts that exist before any call-site tracking is
-    enabled."""
-    return pack_context(site_id, 0)
-
-
-def is_plausible(context: int) -> bool:
-    """Cheap structural sanity check on a value claiming to be a context.
-
-    A context is a *32-bit* quantity (the upper header half): anything
-    wider cannot have come from :func:`encode` and is rejected outright
-    rather than silently aliasing the context whose low 32 bits it
-    shares.  Within 32 bits, a site id of 0 can never have been
-    installed by the profiler (0 is reserved for "unprofiled").
-    Negative values are equally implausible.
-    """
-    return 0 < context <= MASK_32 and context & (MASK_16 << 16) != 0

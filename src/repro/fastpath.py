@@ -11,8 +11,9 @@ on without moving any rendered figure or table.
 Two backends exist:
 
 * ``"reference"`` — the original, maximally readable implementations;
-* ``"fast"`` — the inlined twins (``FastExecutionContext``, batched
-  survivor profiling, O(1) heap counters, ...).
+* ``"fast"`` — the inlined twins (``FastExecutionContext``, interned
+  allocation contexts, batched survivor profiling and OLD-table merges,
+  the generational copy loops).
 
 Semantics:
 

@@ -6,7 +6,6 @@ from repro.gc.collector import Collector, PauseEvent
 from repro.gc.g1 import G1Collector
 from repro.gc.generational import GenerationalCollector
 from repro.gc.ng2c import NG2CCollector, OLD_GEN
-from repro.gc.stats import copy_ratio, pause_summary, pauses_by_kind
 from repro.gc.zgc import ZGCCollector
 
 __all__ = [
@@ -18,7 +17,4 @@ __all__ = [
     "OLD_GEN",
     "PauseEvent",
     "ZGCCollector",
-    "copy_ratio",
-    "pause_summary",
-    "pauses_by_kind",
 ]

@@ -245,9 +245,6 @@ class Collector:
 
     # -- statistics --------------------------------------------------------------------
 
-    def pause_durations_ms(self) -> List[float]:
-        return [p.duration_ms for p in self.pauses]
-
     def max_memory_bytes(self) -> int:
         return self.heap.max_committed_bytes
 

@@ -46,16 +46,10 @@ class G1Collector(GenerationalCollector):
         self._bytes_at_forced_cycle = 0
 
     def _maybe_collect(self) -> None:
-        # The generational eden trigger first, inlined rather than called
-        # through super(): this runs on every allocation.  The fast
-        # backend reads the eden-region count; the reference backend
-        # walks the regions in _eden_full.
+        # The generational eden trigger (_eden_full) first, inlined
+        # rather than called: this runs on every allocation.
         heap = self.heap
-        if self._fast_paths:
-            eden_full = heap.space_counts[Space.EDEN] >= self.young_regions
-        else:
-            eden_full = self._eden_full()
-        if eden_full:
+        if heap.space_counts[Space.EDEN] >= self.young_regions:
             self.collect_young()
         # Eden pressure is not the only trigger: when allocation flows
         # straight into old/dynamic spaces (heavy pretenuring), the

@@ -62,10 +62,9 @@ class GenerationalCollector(Collector):
     # -- triggering -----------------------------------------------------------
 
     def _eden_full(self) -> bool:
-        if self._fast_paths:
-            # O(1) incrementally maintained count, == the region walk
-            return self.heap.space_counts[Space.EDEN] >= self.young_regions
-        return len(self.heap.regions_in(Space.EDEN)) >= self.young_regions
+        # the stored eden-region count; the heap verifier checks it
+        # against a region walk (heap/space-counts)
+        return self.heap.space_counts[Space.EDEN] >= self.young_regions
 
     def _maybe_collect(self) -> None:
         if self._eden_full():

@@ -5,11 +5,7 @@ the region heap, the bandwidth cost model, and fragmentation metrics.
 """
 
 from repro.heap.bandwidth import BandwidthModel
-from repro.heap.fragmentation import (
-    fragmented_regions,
-    guilty_contexts,
-    space_fragmentation,
-)
+from repro.heap.fragmentation import fragmented_regions, guilty_contexts
 from repro.heap.heap import RegionHeap, SimOutOfMemoryError
 from repro.heap.object_model import IMMORTAL, SimObject
 from repro.heap.region import DEFAULT_REGION_BYTES, Region, Space
@@ -25,5 +21,4 @@ __all__ = [
     "Space",
     "fragmented_regions",
     "guilty_contexts",
-    "space_fragmentation",
 ]

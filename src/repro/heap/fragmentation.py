@@ -7,33 +7,16 @@ among live ones.  The collector reports fragmentation at the end of each
 tracing cycle; ROLP then identifies the offending allocation contexts and
 decrements their estimated lifetimes.
 
-This module computes those per-space and per-context fragmentation
-figures from the region table.
+This module finds the over-fragmented regions and attributes their dead
+bytes to allocation contexts.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 from repro.heap.region import Region, Space
-
-
-def space_fragmentation(regions: Iterable[Region], now_ns: int) -> Dict[Tuple[Space, int], float]:
-    """Garbage fraction of allocated bytes, keyed by ``(space, gen)``.
-
-    Only allocated bytes count: empty regions are free capacity, not
-    fragmentation.
-    """
-    used: Dict[Tuple[Space, int], int] = defaultdict(int)
-    garbage: Dict[Tuple[Space, int], int] = defaultdict(int)
-    for region in regions:
-        if region.space is Space.FREE or region.used == 0:
-            continue
-        key = (region.space, region.gen)
-        used[key] += region.used
-        garbage[key] += region.garbage_bytes(now_ns)
-    return {key: garbage[key] / used[key] for key in used}
 
 
 def fragmented_regions(

@@ -8,7 +8,6 @@ the heap provides the mechanism (claim region, allocate, reset).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from repro.heap.object_model import SimObject
@@ -146,29 +145,18 @@ class RegionHeap:
         (None when the next allocation will claim a fresh region)."""
         return self._alloc_region.get((space, gen))
 
-    def retire_alloc_region(self, space: Space, gen: int = 0) -> None:
-        """Stop bump-allocating into the current region for ``space``.
-
-        Evacuation calls this before copying so that to-space copies go
-        into freshly claimed regions, never into a from-space region.
-        """
-        self._alloc_region.pop((space, gen), None)
-
     # -- allocation ----------------------------------------------------------
-
-    def is_humongous(self, size: int) -> bool:
-        return size > self.region_bytes // 2
 
     def allocate(self, obj: SimObject, space: Space, gen: int = 0) -> Region:
         """Allocate ``obj`` into ``space`` (bump pointer; claims regions
         as needed).  Humongous objects get dedicated regions.
         """
         size = obj.size
-        if size > self._humongous_bytes:  # == is_humongous(size)
+        if size > self._humongous_bytes:  # more than half a region
             return self._allocate_humongous(obj)
         key = (space, gen)
         region = self._alloc_region.get(key)
-        if region is not None and region.used + size <= region.capacity:  # == has_room
+        if region is not None and region.used + size <= region.capacity:
             # Region.allocate's bump, in this frame: the steady state
             region.objects.append(obj)
             obj.region = region
@@ -198,22 +186,3 @@ class RegionHeap:
         region = self.claim_region(Space.HUMONGOUS)
         region.allocate(obj)
         return region
-
-    # -- statistics ------------------------------------------------------------
-
-    def space_summary(self, now_ns: int) -> Dict[str, Dict[str, int]]:
-        """Per-space used/live/garbage byte totals (for reports/tests)."""
-        summary: Dict[str, Dict[str, int]] = defaultdict(
-            lambda: {"regions": 0, "used": 0, "live": 0}
-        )
-        for region in self.regions:
-            if region.space is Space.FREE:
-                continue
-            name = region.space.value
-            if region.space is Space.DYNAMIC:
-                name = "gen%d" % region.gen
-            entry = summary[name]
-            entry["regions"] += 1
-            entry["used"] += region.used
-            entry["live"] += region.live_bytes(now_ns)
-        return dict(summary)

@@ -123,10 +123,6 @@ class SimObject:
         """Bias-lock toward a thread, clobbering the profiling context."""
         self.header = hdr.bias_lock(self.header, thread_pointer)
 
-    def lifetime_ns(self) -> float:
-        """Ground-truth lifetime (oracle only; not visible to ROLP)."""
-        return self.death_time_ns - self.alloc_time_ns
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "SimObject(size=%d, ctx=0x%08x, age=%d)" % (
             self.size,

@@ -10,7 +10,7 @@ liveness oracle to choose collection sets and compute copy costs.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, List
+from typing import List
 
 from repro.heap.object_model import SimObject
 
@@ -52,13 +52,10 @@ class Region:
 
     # -- allocation -----------------------------------------------------------
 
-    def has_room(self, size: int) -> bool:
-        return self.used + size <= self.capacity
-
     def allocate(self, obj: SimObject) -> None:
         """Bump-allocate ``obj`` into this region."""
         size = obj.size
-        if self.used + size > self.capacity:  # == not has_room(size)
+        if self.used + size > self.capacity:
             raise MemoryError(
                 "region %d: %d bytes requested, %d free"
                 % (self.index, size, self.capacity - self.used)
@@ -76,9 +73,6 @@ class Region:
     def garbage_bytes(self, now_ns: int) -> int:
         """Bytes occupied by dead objects (reclaimable by evacuation)."""
         return self.used - self.live_bytes(now_ns)
-
-    def live_objects(self, now_ns: int) -> Iterator[SimObject]:
-        return (o for o in self.objects if o.is_live(now_ns))
 
     def occupancy(self) -> float:
         """Fraction of the region's capacity that has been allocated."""

@@ -1,5 +1,5 @@
-"""Measurement and reporting: pause percentiles/histograms, throughput,
-memory footprint, and text-table rendering."""
+"""Measurement and reporting: pause percentiles and histograms, the
+HotSpot-style GC log, and text-table rendering."""
 
 from repro.metrics.gclog import (
     GcLogRecord,
@@ -9,7 +9,6 @@ from repro.metrics.gclog import (
     parse_log,
     render_log,
 )
-from repro.metrics.memory import MemoryReport, measure
 from repro.metrics.pauses import (
     DEFAULT_INTERVALS_MS,
     DEFAULT_PERCENTILES,
@@ -23,21 +22,17 @@ from repro.metrics.report import (
     render_percentile_series,
     render_table,
 )
-from repro.metrics.throughput import ThroughputMeter
 
 __all__ = [
     "DEFAULT_INTERVALS_MS",
     "DEFAULT_PERCENTILES",
     "GcLogRecord",
-    "MemoryReport",
     "format_pause",
     "kind_for_cause",
     "parse_line",
     "parse_log",
     "render_log",
-    "ThroughputMeter",
     "duration_histogram",
-    "measure",
     "percentile",
     "percentile_profile",
     "render_histogram_series",

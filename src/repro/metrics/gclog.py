@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.gc.collector import Collector, PauseEvent
 
@@ -171,7 +171,3 @@ def parse_log(text: str, strict: bool = False) -> List[GcLogRecord]:
         last_timestamp = record.timestamp_s
         records.append(record)
     return records
-
-
-def pause_durations_ms(records: Sequence[GcLogRecord]) -> List[float]:
-    return [r.duration_ms for r in records]

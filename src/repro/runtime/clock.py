@@ -38,10 +38,6 @@ class SimClock:
     def now_ms(self) -> float:
         return self.now_ns / NS_PER_MS
 
-    @property
-    def now_s(self) -> float:
-        return self.now_ns / NS_PER_S
-
     def advance_mutator(self, ns: float) -> None:
         """Advance the clock by mutator work (truncated to whole ns)."""
         if ns < 0:

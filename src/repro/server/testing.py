@@ -43,12 +43,6 @@ class ClientResponse:
     def json(self) -> dict:
         return json.loads(self.raw.decode())
 
-    @property
-    def canonical(self) -> bytes:
-        """The body re-serialized canonically (sorted keys, compact) —
-        the form every byte-identity assertion compares."""
-        return jobs_mod.canonical_json(self.json()).encode()
-
 
 class TestClient:
     """In-process client: ``await client.post('/v1/sessions', {...})``."""

@@ -83,9 +83,6 @@ class Gauge(Counter):
         key = _key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, **labels) -> None:
-        self.inc(-amount, **labels)
-
 
 class Histogram:
     """Cumulative-bucket histogram (Prometheus semantics: ``le`` edges)."""
@@ -271,9 +268,6 @@ class _NullInstrument:
     """Accepts every instrument operation and records nothing."""
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0, **labels) -> None:
         pass
 
     def set(self, value: float, **labels) -> None:

@@ -21,8 +21,7 @@ from repro import build_vm
 from repro.core import PackageFilter, RolpConfig
 from repro.gc.collector import PauseEvent
 from repro.metrics.pauses import duration_histogram, percentile_profile
-from repro.metrics.throughput import ThroughputMeter
-from repro.runtime import JavaVM, Method, SimThread
+from repro.runtime import NS_PER_S, JavaVM, Method, SimThread
 
 
 class Workload:
@@ -99,6 +98,8 @@ class RunResult:
     collector: str
     operations: int
     elapsed_ms: float
+    #: completed operations per simulated second, so the mutator time
+    #: that profiling code and barriers add lowers it (Figure 10)
     throughput_ops_s: float
     pauses: List[PauseEvent]
     max_memory_bytes: int
@@ -153,14 +154,13 @@ def run_workload(
     workload.build(vm)
     for op_index in range(operations):
         workload.run_op(op_index)
-    meter = ThroughputMeter(vm.clock)
-    meter.record(operations)
+    elapsed_s = vm.clock.now_ns / NS_PER_S
     return RunResult(
         workload=workload.name,
         collector=collector,
         operations=operations,
         elapsed_ms=vm.clock.now_ms,
-        throughput_ops_s=meter.ops_per_second(),
+        throughput_ops_s=operations / elapsed_s if elapsed_s > 0 else 0.0,
         pauses=list(vm.collector.pauses),
         max_memory_bytes=vm.collector.max_memory_bytes(),
         gc_cycles=vm.collector.gc_cycles,

@@ -204,6 +204,19 @@ class TestMemoisation:
         results = Runner().run(cells)
         assert [r["tag"] for r in results] == ["c", "a", "b"]
 
+    def test_keys_differing_as_1_and_true_are_different_cells(self):
+        """``1 == True``, yet ``step=1`` and ``step=True`` are two keys
+        with two seeds: the memo must not answer one with the other."""
+        bound = dict(workload="lucene", collector="g1", operations=50)
+        one = make_cell("session_step", step=1, **bound)
+        true = make_cell("session_step", step=True, **bound)
+        runner = Runner()
+        runner.run([one])
+        (second,) = runner.run([true])
+        assert runner.stats.simulations == 2
+        assert runner.stats.memo_hits == 0
+        assert second == Runner().run([true])[0]
+
 
 class TestRunAsync:
     def test_memoized_batch_never_reaches_the_executor(self):

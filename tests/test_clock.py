@@ -46,7 +46,6 @@ class TestSimClock:
     def test_unit_conversions(self):
         clock = SimClock()
         clock.advance_mutator(2 * NS_PER_S)
-        assert clock.now_s == pytest.approx(2.0)
         assert clock.now_ms == pytest.approx(2000.0)
 
     def test_fractional_ns_truncated(self):

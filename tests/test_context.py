@@ -3,13 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.context import (
-    context_site,
-    context_stack_state,
-    encode,
-    is_plausible,
-    site_base_context,
-)
+from repro.core.context import context_site, context_stack_state, encode
 
 u16 = st.integers(min_value=0, max_value=0xFFFF)
 
@@ -20,19 +14,3 @@ class TestEncode:
         ctx = encode(site, state)
         assert context_site(ctx) == site
         assert context_stack_state(ctx) == state
-
-    def test_site_base_context(self):
-        assert site_base_context(42) == encode(42, 0)
-        assert context_stack_state(site_base_context(42)) == 0
-
-
-class TestPlausibility:
-    def test_zero_context_implausible(self):
-        assert not is_plausible(0)
-
-    def test_zero_site_implausible(self):
-        assert not is_plausible(encode(0, 1234))
-
-    @given(site=st.integers(min_value=1, max_value=0xFFFF), state=u16)
-    def test_nonzero_site_plausible(self, site, state):
-        assert is_plausible(encode(site, state))

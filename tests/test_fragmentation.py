@@ -4,7 +4,6 @@ from repro.heap.fragmentation import (
     dead_bytes_by_context,
     fragmented_regions,
     guilty_contexts,
-    space_fragmentation,
 )
 from repro.heap.object_model import SimObject
 from repro.heap.region import Region, Space
@@ -22,26 +21,6 @@ def region_with(space, objects, gen=0, index=0, capacity=1 << 20):
     for o in objects:
         region.allocate(o)
     return region
-
-
-class TestSpaceFragmentation:
-    def test_empty_heap(self):
-        assert space_fragmentation([], 0) == {}
-
-    def test_per_space_garbage_fraction(self):
-        regions = [
-            region_with(Space.OLD, [obj(300, death=10), obj(100)]),
-            region_with(Space.DYNAMIC, [obj(200)], gen=3, index=1),
-        ]
-        fractions = space_fragmentation(regions, now_ns=100)
-        assert fractions[(Space.OLD, 0)] == 0.75
-        assert fractions[(Space.DYNAMIC, 3)] == 0.0
-
-    def test_free_and_empty_regions_ignored(self):
-        free = Region(0)
-        empty = Region(1)
-        empty.retarget(Space.OLD)
-        assert space_fragmentation([free, empty], 0) == {}
 
 
 class TestFragmentedRegions:

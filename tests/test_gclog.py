@@ -10,7 +10,6 @@ from repro.metrics.gclog import (
     format_pause,
     parse_line,
     parse_log,
-    pause_durations_ms,
     render_log,
 )
 
@@ -68,7 +67,7 @@ class TestRoundtrip:
             GcLogRecord(1.0, 1, "Pause Young (normal)", 10, 5, 96, 1.5),
             GcLogRecord(2.0, 2, "Pause Full", 50, 10, 96, 20.0),
         ]
-        assert pause_durations_ms(records) == [1.5, 20.0]
+        assert [r.duration_ms for r in records] == [1.5, 20.0]
 
 
 class TestRenderFromCollector:

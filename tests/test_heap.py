@@ -83,6 +83,11 @@ class TestAllocation:
         r1 = heap.allocate(obj(big), Space.EDEN)
         r2 = heap.allocate(obj(big), Space.EDEN)
         assert r1 is not r2
+        # the two above are humongous; half a region is the largest
+        # object that is bump-allocated, and two fill a region exactly
+        half = heap.allocate(obj(512 << 10), Space.EDEN)
+        assert heap.allocate(obj(512 << 10), Space.EDEN) is half
+        assert heap.allocate(obj(1), Space.EDEN) is not half
 
     def test_spaces_do_not_share_regions(self):
         heap = make_heap()
@@ -96,13 +101,6 @@ class TestAllocation:
         r2 = heap.allocate(obj(100), Space.DYNAMIC, gen=2)
         assert r1 is not r2
         assert r1.gen == 1 and r2.gen == 2
-
-    def test_retire_alloc_region(self):
-        heap = make_heap()
-        r1 = heap.allocate(obj(100), Space.SURVIVOR)
-        heap.retire_alloc_region(Space.SURVIVOR)
-        r2 = heap.allocate(obj(100), Space.SURVIVOR)
-        assert r1 is not r2
 
     def test_release_only_clears_own_cache_entry(self):
         heap = make_heap()
@@ -120,9 +118,11 @@ class TestHumongous:
         assert region.space is Space.HUMONGOUS
 
     def test_small_object_is_not_humongous(self):
+        """Exactly half a region is the largest ordinary object."""
         heap = make_heap()
-        assert not heap.is_humongous(512 << 10)
-        assert heap.is_humongous((512 << 10) + 1)
+        assert heap.allocate(obj(512 << 10), Space.EDEN).space is Space.EDEN
+        big = heap.allocate(obj((512 << 10) + 1), Space.EDEN)
+        assert big.space is Space.HUMONGOUS
 
     def test_spanning_humongous_claims_multiple_regions(self):
         heap = make_heap()
@@ -157,15 +157,6 @@ class TestQueriesAndStats:
         heap.allocate(obj(123), Space.EDEN)
         heap.allocate(obj(456), Space.OLD)
         assert heap.used_bytes() == 579
-
-    def test_space_summary(self):
-        heap = make_heap()
-        heap.allocate(obj(100, death=50), Space.EDEN)
-        heap.allocate(obj(200), Space.DYNAMIC, gen=2)
-        summary = heap.space_summary(now_ns=100)
-        assert summary["eden"]["used"] == 100
-        assert summary["eden"]["live"] == 0
-        assert summary["gen2"]["live"] == 200
 
 
 class TestAccountingInvariant:

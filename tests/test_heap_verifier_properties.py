@@ -1,11 +1,11 @@
 """Property-based tests: the heap's incremental accounting always
 agrees with the verifier's independent walk.
 
-Random allocate/release/retire sequences drive :class:`RegionHeap`
-through every lifecycle path (bump allocation, region claiming,
-humongous stretching, wholesale release), and after every step the
-verifier's re-derived aggregates must match both the heap's counters
-and an externally tracked model.  The verifier also runs end-to-end
+Random allocate/release sequences drive :class:`RegionHeap` through
+every lifecycle path (bump allocation, region claiming, humongous
+stretching, wholesale release), and after every step the verifier's
+re-derived aggregates must match both the heap's counters and an
+externally tracked model.  The verifier also runs end-to-end
 under every collector's random workload to prove GC-boundary walks
 never false-positive on healthy heaps.
 """
@@ -31,7 +31,7 @@ ALLOC_SPACES = (Space.EDEN, Space.SURVIVOR, Space.OLD)
 #: sizes reach past 2*REGION so spanning humongous objects occur
 ops = st.lists(
     st.tuples(
-        st.sampled_from(["alloc", "release", "retire"]),
+        st.sampled_from(["alloc", "release"]),
         st.integers(min_value=0, max_value=2),
         st.integers(min_value=16, max_value=3 * REGION),
     ),
@@ -52,8 +52,6 @@ def apply_ops(heap, sequence):
             except SimOutOfMemoryError:
                 continue  # heap full: a legal outcome, not a corruption
             allocated.append(obj)
-        elif kind == "retire":
-            heap.retire_alloc_region(space)
         else:  # release a committed, non-humongous region wholesale
             victims = [
                 r

