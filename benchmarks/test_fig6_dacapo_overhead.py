@@ -8,7 +8,7 @@ no benchmark blows past ~25%.
 """
 
 from conftest import save_artifact
-from repro.bench.figures import FIG6_MODES, figure6, render_figure6
+from repro.bench.figures import figure6, render_figure6
 
 
 def test_figure6(once):

@@ -6,13 +6,13 @@ by default (``Connection: close`` honoured).  Everything interesting —
 routing, validation, backpressure, timeouts — lives in the transport-free
 app; this module is only the codec, which is why the protocol and soak
 suites can drive the app in-process and trust that the wire behaves the
-same (one TCP round-trip test in the protocol suite pins the codec
-itself).
+same (the protocol suite's TCP tests pin the codec itself).
 """
 
 from __future__ import annotations
 
 import asyncio
+import re
 import sys
 from typing import Optional
 from urllib.parse import parse_qsl, urlsplit
@@ -22,7 +22,7 @@ from repro.server.protocol import error_envelope
 
 
 class _ProtocolError(Exception):
-    """Unparseable request line or oversized body — answered with an
+    """Unparseable or oversized request framing — answered with an
     error envelope and a closed connection."""
 
     def __init__(self, reason: str, detail: str) -> None:
@@ -35,6 +35,14 @@ MAX_BODY_BYTES = 1 << 20
 
 #: hard cap on header lines per request (memory-exhaustion guard)
 MAX_HEADER_LINES = 100
+
+#: hard cap on a request head: its request line, header lines and the
+#: blank line that ends them (64 KiB)
+MAX_HEAD_BYTES = 1 << 16
+
+#: the blank line that ends a head: an LF, then CRLF or a bare LF (a
+#: leading literal keeps the search a fast scan)
+_HEAD_END = re.compile(rb"\n\r?\n")
 
 _STATUS_TEXT = {
     200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
@@ -93,18 +101,12 @@ class HttpFrontend:
     # ----------------------------------------------------------------- codec
 
     async def _handle_connection(self, reader, writer) -> None:
+        buffer = bytearray()  # bytes read past the current request
         try:
             while True:
                 try:
-                    request, keep_alive = await self._read_request(reader)
-                except (_ProtocolError, ValueError, asyncio.LimitOverrunError) as exc:
-                    # bare ValueError / LimitOverrunError = a request or
-                    # header line over the StreamReader's 64 KiB limit
-                    if not isinstance(exc, _ProtocolError):
-                        exc = _ProtocolError(
-                            "malformed-body",
-                            "request or header line exceeds the stream limit",
-                        )
+                    request, keep_alive = await self._read_request(reader, buffer)
+                except _ProtocolError as exc:
                     writer.write(_encode_response(exc.response, False))
                     await writer.drain()
                     break
@@ -124,30 +126,31 @@ class HttpFrontend:
             except (ConnectionError, OSError):
                 pass
 
-    async def _read_request(self, reader):
-        """Parse one request; ``(None, False)`` on clean EOF."""
-        line = await reader.readline()
-        if not line:
-            return None, False
-        try:
-            method, target, version = line.decode("latin-1").strip().split(" ", 2)
-        except ValueError:
-            raise _ProtocolError("malformed-body", "unparseable request line")
-        headers = {}
-        header_lines = 0
+    async def _read_request(self, reader, buffer: bytearray):
+        """Parse one request from ``buffer``, reading from ``reader``
+        until it holds a whole head; ``(None, False)`` on an EOF before
+        the head ends.  The request's bytes leave the buffer, and those
+        of a pipelined request after it stay for the next call."""
+        scanned = 0
         while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
+            end = _HEAD_END.search(buffer, max(scanned - 2, 0), MAX_HEAD_BYTES)
+            if end is not None:
                 break
-            header_lines += 1
-            if header_lines > MAX_HEADER_LINES:
+            if buffer.find(b"\n", scanned) >= 0:
+                # refuse what the complete lines already rule out, as a
+                # line-at-a-time reader would, rather than wait for a
+                # blank line that may never come
+                _parse_head(buffer[: buffer.rfind(b"\n")])
+            if len(buffer) >= MAX_HEAD_BYTES:
                 raise _ProtocolError(
-                    "malformed-body",
-                    "more than %d header lines" % MAX_HEADER_LINES,
+                    "malformed-body", "request head exceeds %d bytes" % MAX_HEAD_BYTES
                 )
-            if b":" in raw:
-                name, _, value = raw.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
+            scanned = len(buffer)
+            chunk = await reader.read(MAX_HEAD_BYTES)
+            if not chunk:
+                return None, False
+            buffer += chunk
+        method, target, version, headers = _parse_head(buffer[: end.start()])
         try:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
@@ -158,8 +161,15 @@ class HttpFrontend:
             raise _ProtocolError(
                 "malformed-body", "request body exceeds %d bytes" % MAX_BODY_BYTES
             )
-        body = await reader.readexactly(length) if length else b""
-        split = urlsplit(target)
+        start = end.end()
+        body = bytes(buffer[start : start + length])
+        del buffer[: start + length]
+        if len(body) < length:
+            body += await reader.readexactly(length - len(body))
+        try:
+            split = urlsplit(target)
+        except ValueError:
+            raise _ProtocolError("malformed-body", "unparseable request target")
         keep_alive = (
             headers.get("connection", "").lower() != "close"
             and not version.endswith("1.0")
@@ -168,10 +178,30 @@ class HttpFrontend:
             method=method,
             path=split.path,
             body=body,
-            query=dict(parse_qsl(split.query)),
+            query=dict(parse_qsl(split.query)) if split.query else {},
             headers=headers,
         )
         return request, keep_alive
+
+
+def _parse_head(head: bytes):
+    """``(method, target, version, headers)`` of a head cut before its
+    last LF; every line ends in CRLF or a bare LF."""
+    lines = head.decode("latin-1").split("\n")
+    try:
+        method, target, version = lines[0].strip().split(" ", 2)
+    except ValueError:
+        raise _ProtocolError("malformed-body", "unparseable request line")
+    if len(lines) > MAX_HEADER_LINES + 1:
+        raise _ProtocolError(
+            "malformed-body", "more than %d header lines" % MAX_HEADER_LINES
+        )
+    headers = {}
+    for line in lines[1:]:
+        name, colon, value = line.partition(":")
+        if colon:
+            headers[name.strip().lower()] = value.strip()
+    return method, target, version, headers
 
 
 def serve_main(

@@ -10,6 +10,7 @@ under a seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -31,6 +32,14 @@ def _fnv1a_64(value: int) -> int:
     return hashed
 
 
+@functools.lru_cache(maxsize=None)
+def _zeta(n: int, theta: float) -> float:
+    """ζ(n, θ) = Σ 1/i^θ over i = 1..n, summed in that order.  It depends
+    on nothing else, so each process sums it once per (n, θ): a
+    50,000-item Cassandra keyspace costs 50,000 float powers."""
+    return sum(1.0 / (i ** theta) for i in range(1, n + 1))
+
+
 class ZipfianGenerator:
     """Zipfian-distributed integers in ``[0, item_count)``.
 
@@ -49,23 +58,27 @@ class ZipfianGenerator:
         self.item_count = item_count
         self.theta = theta
         self._rng = random.Random(seed)
-        self._zeta_n = self._zeta(item_count, theta)
-        self._zeta2 = self._zeta(2, theta)
+        self._zeta_n = _zeta(item_count, theta)
+        self._zeta2 = _zeta(2, theta)
         self._alpha = 1.0 / (1.0 - theta)
-        self._eta = (1 - (2.0 / item_count) ** (1 - theta)) / (
-            1 - self._zeta2 / self._zeta_n
-        )
-
-    @staticmethod
-    def _zeta(n: int, theta: float) -> float:
-        return sum(1.0 / (i ** theta) for i in range(1, n + 1))
+        #: u·ζ(n) below this (and not below 1) draws item 1
+        self._item1_bound = 1.0 + 0.5 ** theta
+        if item_count == 2:
+            # Gray et al.'s eta is 0/0 here.  next() reads it only if
+            # rounding puts u·ζ(2) at the item-1 bound, and eta = 1 keeps
+            # that draw in range
+            self._eta = 1.0
+        else:
+            self._eta = (1 - (2.0 / item_count) ** (1 - theta)) / (
+                1 - self._zeta2 / self._zeta_n
+            )
 
     def next(self) -> int:
         u = self._rng.random()
         uz = u * self._zeta_n
         if uz < 1.0:
             return 0
-        if uz < 1.0 + 0.5 ** self.theta:
+        if uz < self._item1_bound:
             return 1
         return int(
             self.item_count * ((self._eta * u - self._eta + 1) ** self._alpha)

@@ -18,9 +18,14 @@ from repro.bench.runner import Runner, make_cell
 from repro.server import protocol
 from repro.server.app import ServerApp
 from repro.server.batcher import JobBatcher, ServerStopping
-from repro.server.http import MAX_HEADER_LINES, HttpFrontend, _ProtocolError
+from repro.server.http import (
+    MAX_HEAD_BYTES,
+    MAX_HEADER_LINES,
+    HttpFrontend,
+    _ProtocolError,
+)
 from repro.server.jobs import result_fingerprint
-from repro.server.testing import HttpClient, TestClient
+from repro.server.testing import ClientResponse, HttpClient, TestClient
 
 
 @pytest.fixture(autouse=True)
@@ -597,11 +602,11 @@ class TestHttpFrontend:
         run(scenario())
 
     def test_codec_rejects_hostile_framing(self):
-        """Negative Content-Length, header floods and over-limit lines
+        """Negative Content-Length, header floods and over-limit heads
         are all refused at the codec, before any body allocation."""
 
-        def feed(data, limit=2 ** 16):
-            reader = asyncio.StreamReader(limit=limit)
+        def feed(data):
+            reader = asyncio.StreamReader()
             reader.feed_data(data)
             reader.feed_eof()
             return reader
@@ -611,7 +616,8 @@ class TestHttpFrontend:
 
             with pytest.raises(_ProtocolError) as err:
                 await frontend._read_request(
-                    feed(b"POST /v1/sessions HTTP/1.1\r\nContent-Length: -5\r\n\r\n")
+                    feed(b"POST /v1/sessions HTTP/1.1\r\nContent-Length: -5\r\n\r\n"),
+                    bytearray(),
                 )
             assert err.value.response.status == 400
             assert "negative Content-Length" in str(err.value)
@@ -624,21 +630,184 @@ class TestHttpFrontend:
                 + b"\r\n"
             )
             with pytest.raises(_ProtocolError) as err:
-                await frontend._read_request(feed(flood))
+                await frontend._read_request(feed(flood), bytearray())
             assert err.value.response.status == 400
             assert "header lines" in str(err.value)
 
-            # a header line over the StreamReader limit surfaces as
-            # ValueError, which _handle_connection maps to the same 400
-            with pytest.raises(ValueError):
-                await frontend._read_request(
-                    feed(
-                        b"GET / HTTP/1.1\r\nX-Big: " + b"x" * 4096 + b"\r\n\r\n",
-                        limit=1024,
-                    )
-                )
+            # a head over 64 KiB: one over-long header line, or lines
+            # that pass the limit only together
+            for head in (
+                b"GET / HTTP/1.1\r\nX-Big: " + b"x" * MAX_HEAD_BYTES + b"\r\n\r\n",
+                b"GET / HTTP/1.1\r\n" + b"X-Big: %s\r\n" % (b"x" * 1024) * 80 + b"\r\n",
+            ):
+                with pytest.raises(_ProtocolError) as err:
+                    await frontend._read_request(feed(head), bytearray())
+                assert err.value.response.status == 400
+                assert err.value.response.body["error"]["reason"] == "malformed-body"
+                assert "head exceeds %d bytes" % MAX_HEAD_BYTES in str(err.value)
 
         run(scenario())
+
+    def test_pipelined_requests_answered_in_order(self):
+        async def scenario(port):
+            got = await exchange(
+                port,
+                b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+                + post_bytes("/v1/sessions", {"operations": OPS})
+                + b"GET /v1/schema HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+            )
+            check(got[0], 200, "health")
+            check(got[1], 201, "session")
+            check(got[2], 200, "schema")
+            assert len(got) == 3
+            assert [r.headers["connection"] for r in got] == [
+                "keep-alive", "keep-alive", "close",
+            ]
+
+        serve_wire(scenario)
+
+    def test_request_trickled_a_byte_at_a_time(self):
+        async def scenario(port):
+            request = post_bytes("/v1/sessions", {"operations": OPS}, close=True)
+            got = await exchange(
+                port, *(request[i : i + 1] for i in range(len(request))), gap_s=0.001
+            )
+            assert len(got) == 1
+            check(got[0], 201, "session")
+
+        serve_wire(scenario)
+
+    def test_bare_lf_heads_answered(self):
+        async def scenario(port):
+            got = await exchange(
+                port,
+                b"GET /healthz HTTP/1.1\nHost: t\n\n"
+                + post_bytes("/v1/sessions", {"operations": OPS}).replace(b"\r\n", b"\n")
+                + b"GET /v1/schema HTTP/1.1\r\nHost: t\n\r\n",
+                eof=True,
+            )
+            check(got[0], 200, "health")
+            check(got[1], 201, "session")
+            check(got[2], 200, "schema")
+            assert len(got) == 3
+
+        serve_wire(scenario)
+
+    def test_close_and_http10_end_the_connection(self):
+        async def scenario(port):
+            for first in (
+                b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+                b"GET /healthz HTTP/1.0\r\n\r\n",
+            ):
+                got = await exchange(port, first + b"GET /healthz HTTP/1.1\r\n\r\n")
+                assert len(got) == 1
+                check(got[0], 200, "health")
+                assert got[0].headers["connection"] == "close"
+
+        serve_wire(scenario)
+
+    def test_query_reaches_the_app(self):
+        async def scenario(port):
+            got = await exchange(
+                port,
+                b"GET /healthz HTTP/1.1\r\n\r\n"
+                b"GET /metrics?format=prometheus HTTP/1.1\r\nConnection: close\r\n\r\n",
+            )
+            assert got[1].status == 200
+            assert got[1].headers["content-type"].startswith("text/plain")
+            assert b"server_requests_total" in got[1].raw
+
+        serve_wire(scenario)
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\n",
+            b"POST /v1/sessions HTTP/1.1\r\nContent-Length: 40\r\n\r\n{\"oper",
+        ],
+        ids=["head", "body"],
+    )
+    def test_eof_inside_a_request_closes_without_reply(self, partial):
+        async def scenario(port):
+            assert await exchange(port, partial, eof=True) == []
+
+        serve_wire(scenario)
+
+    @pytest.mark.parametrize(
+        "sent, detail",
+        [
+            (b"GET /\r\n", "unparseable request line"),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Big: ".ljust(MAX_HEAD_BYTES, b"x"),
+                "request head exceeds %d bytes" % MAX_HEAD_BYTES,
+            ),
+        ],
+        ids=["http09-request-line", "head-at-limit"],
+    )
+    def test_framing_refused_before_the_head_ends(self, sent, detail):
+        """What the bytes so far already refuse is answered without
+        waiting for a blank line that may never come."""
+
+        async def scenario(port):
+            got = await exchange(port, sent)
+            assert len(got) == 1
+            body = check_error(got[0], 400, "malformed-body")
+            assert body["error"]["detail"] == detail
+            assert got[0].headers["connection"] == "close"
+
+        serve_wire(scenario)
+
+
+def post_bytes(path, body, close=False):
+    payload = json.dumps(body).encode()
+    return (
+        "POST %s HTTP/1.1\r\nHost: t\r\nContent-Length: %d\r\n%s\r\n"
+        % (path, len(payload), "Connection: close\r\n" if close else "")
+    ).encode() + payload
+
+
+def serve_wire(scenario):
+    """Run ``scenario(port)`` against a listening frontend."""
+
+    async def main():
+        frontend = HttpFrontend(make_app(), "127.0.0.1", 0)
+        await frontend.start()
+        try:
+            await scenario(frontend.bound_port)
+        finally:
+            await frontend.stop()
+
+    run(main())
+
+
+async def exchange(port, *writes, eof=False, gap_s=0.0):
+    """Send ``writes`` over one connection (``gap_s`` apart), half-close
+    it if ``eof``, and parse what the server sends until it closes."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        for data in writes:
+            writer.write(data)
+            await writer.drain()
+            if gap_s:
+                await asyncio.sleep(gap_s)
+        if eof:
+            writer.write_eof()
+        raw = await asyncio.wait_for(reader.read(), 10.0)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+    responses = []
+    while raw:
+        head, _, rest = raw.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        headers = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = int(headers["content-length"])
+        responses.append(ClientResponse(int(lines[0].split()[1]), rest[:length], headers))
+        raw = rest[length:]
+    return responses
 
 
 class TestAppConstruction:

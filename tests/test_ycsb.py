@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from repro.workloads import ycsb
 from repro.workloads.ycsb import (
     MIX_READ_INTENSIVE,
     MIX_READ_WRITE,
@@ -43,9 +44,27 @@ class TestFnvScrambler:
 
 class TestZipfian:
     def test_values_in_range(self):
-        gen = ZipfianGenerator(1000, seed=1)
-        for _ in range(5000):
-            assert 0 <= gen.next() < 1000
+        # n = 2 is where Gray et al.'s eta is 0/0
+        for item_count in (1, 2, 3, 1000):
+            gen = ZipfianGenerator(item_count, seed=1)
+            for _ in range(5000):
+                assert 0 <= gen.next() < item_count
+
+    def test_zeta_is_the_direct_sum(self):
+        for item_count in (3, 1000, 50_000):
+            for theta in (0.5, 0.99):
+                gen = ZipfianGenerator(item_count, theta)
+                direct = sum(1.0 / (i ** theta) for i in range(1, item_count + 1))
+                assert gen._zeta_n == direct  # bit for bit: same terms, same order
+                assert gen._zeta2 == 1.0 + 1.0 / 2 ** theta
+
+    def test_second_generator_sums_nothing(self):
+        ZipfianGenerator(50_000)
+        before = ycsb._zeta.cache_info()
+        ZipfianGenerator(50_000, seed=99)
+        after = ycsb._zeta.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 2  # zeta(n) and zeta(2)
 
     def test_skew_toward_low_items(self):
         gen = ZipfianGenerator(1000, seed=1)
@@ -81,6 +100,14 @@ class TestScrambledZipfian:
         hot = [k for k, _ in counts.most_common(10)]
         # the hottest keys are not clustered at the low end
         assert max(hot) > 1000
+
+    def test_cassandra_keyspace_sequence_is_pinned(self):
+        # the draws of a 50,000-key Cassandra keyspace, as recorded before
+        # the generator's constants were memoized
+        gen = ScrambledZipfianGenerator(50_000, seed=7)
+        assert [gen.next() for _ in range(12)] == [
+            6288, 3223, 6037, 24405, 21613, 9190, 24405, 33816, 24405, 29082, 24405, 34996,
+        ]
 
     def test_skew_preserved(self):
         gen = ScrambledZipfianGenerator(1000, seed=1)
