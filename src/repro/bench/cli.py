@@ -53,7 +53,7 @@ from typing import Dict, List, Optional
 from repro import COLLECTOR_NAMES
 from repro.analysis import InvariantViolation, set_default_verify_level
 from repro.analysis import pause_attribution
-from repro.bench import ablations, artifacts, figures, fuzz, perf, tables
+from repro.bench import ablations, artifacts, figures, fuzz, tables
 from repro.bench.config import bench_scale
 from repro.bench.runner import (
     DEFAULT_BASE_SEED,
@@ -146,6 +146,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_seconds(text: str) -> float:
+    """argparse type for a timeout in seconds: a negative one would
+    expire every request or session it guards at once."""
+    value = float(text)
+    if not value >= 0:  # also refuses NaN
+        raise argparse.ArgumentTypeError("must be at least 0 seconds (got %s)" % text)
+    return value
+
+
 def _validate(kind: str, names: Optional[List[str]], valid: List[str]) -> None:
     if not names:
         return
@@ -227,7 +236,6 @@ def _run_experiments(
     collectors: Optional[List[str]],
     specs,
     explain_capacity: Optional[int] = None,
-    perf_repeat: int = 1,
     fuzz_budget: str = "32",
     corpus_dir: str = fuzz.DEFAULT_CORPUS_DIR,
 ) -> None:
@@ -291,14 +299,6 @@ def _run_experiments(
             payloads["explain"] = report
             print("[Explain] per-pause root-cause attribution (tail vs overall)")
             print(pause_attribution.render_report(report))
-        elif experiment == "perf":
-            study = perf.perf(base_seed=runner.base_seed, repeat=perf_repeat)
-            payloads["perf"] = study
-            print("[Perf] hot-path microbenchmarks across execution backends")
-            print(perf.render_perf(study))
-            os.makedirs(os.path.dirname(perf.BENCH_JSON), exist_ok=True)
-            artifacts.write_json(perf.BENCH_JSON, study)
-            print("perf results written to %s" % perf.BENCH_JSON)
         elif experiment == "fuzz":
             report = fuzz.fuzz(
                 runner,
@@ -336,7 +336,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "ablations",
             "trace",
             "explain",
-            "perf",
             "fuzz",
             "staticcheck",
             "serve",
@@ -372,7 +371,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--request-timeout",
-        type=float,
+        type=_non_negative_seconds,
         default=60.0,
         metavar="S",
         help="serve only: per-request deadline in seconds; expiry answers "
@@ -380,7 +379,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--idle-timeout",
-        type=float,
+        type=_non_negative_seconds,
         default=600.0,
         metavar="S",
         help="serve only: sessions idle past this are reaped (default: %(default)s)",
@@ -444,15 +443,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="run invariant verification inside every simulation: 1 walks "
         "the heap at GC boundaries, 2 adds the biased-lock discipline "
         "checker (bare --verify means 2); a violation exits with status 3",
-    )
-    parser.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        metavar="N",
-        help="perf experiment only: re-time each (kernel, backend) cell "
-        "N times (fresh fixture per run) and report the median ns/op "
-        "plus the coefficient of variation (default: 1)",
     )
     parser.add_argument(
         "--trace-out",
@@ -611,7 +601,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             collectors,
             specs,
             explain_capacity=args.flight_recorder,
-            perf_repeat=max(1, args.repeat),
             fuzz_budget=args.budget,
             corpus_dir=args.corpus_dir,
         )

@@ -126,7 +126,8 @@ def _fingerprint(result, workload) -> Dict[str, object]:
     """JSON-stable digest of everything the backends could perturb.
 
     Floats go through ``repr`` — the differential oracle demands bit
-    equality, not tolerance (the :mod:`repro.bench.perf` convention).
+    equality, not tolerance (as the hot-path kernel fingerprints in
+    tests/test_perf_equivalence.py do).
     """
     profiler_summary = result.profiler_summary or {}
     pause_ms = result.pause_ms

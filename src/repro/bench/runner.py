@@ -12,10 +12,12 @@ of it.  This module turns every experiment into independent *cells*:
   ``(cell key, base seed)`` via SHA-256 (:func:`derive_seed`), so a cell
   produces bit-identical results no matter which worker runs it, in
   which order, on which machine;
-* a :class:`Runner` fans cells out across a ``multiprocessing`` pool
+* a :class:`Runner` fans cells out across a worker-process pool
   (``jobs > 1``) or executes them inline (``jobs = 1``, the default —
   this path also carries per-run telemetry), merging results back in
-  *submission* order so parallel output is byte-identical to serial;
+  *submission* order so parallel output is byte-identical to serial; a
+  worker that dies fails the run with ``BrokenProcessPool`` naming the
+  cell, instead of leaving it waiting for a result that never comes;
 * a :class:`ResultCache` persists each cell's result on disk, keyed by
   a hash of the cell config + ``ROLP_BENCH_SCALE`` + seed +
   :data:`CACHE_VERSION`, so interrupted grids resume where they stopped
@@ -573,7 +575,12 @@ class Runner:
         # environment; spawn re-imports the experiment modules via
         # _ensure_kinds().  Workers run without per-run telemetry —
         # trace tracks only exist on the inline path (documented in
-        # docs/benchmarking.md).
+        # docs/benchmarking.md).  The executor is imported here because
+        # only a pool run needs it: at module level its modules would add
+        # to every serial run's and the server's memory and start-up.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context(
             "fork" if "fork" in methods else None
@@ -583,13 +590,28 @@ class Runner:
             for cell in cells
         ]
         total = len(cells)
-        with context.Pool(processes=min(self.jobs, len(cells))) as pool:
+        pool = ProcessPoolExecutor(max_workers=min(self.jobs, total), mp_context=context)
+        try:
             started = time.time()
-            for index, (cell, result) in enumerate(
-                zip(cells, pool.imap(_pool_execute, payloads)), 1
-            ):
+            futures = [pool.submit(_pool_execute, payload) for payload in payloads]
+            for index, (cell, future) in enumerate(zip(cells, futures), 1):
+                try:
+                    result = future.result()
+                except BrokenProcessPool as exc:
+                    # a worker died (killed, out of memory) and the pool
+                    # fails every unfinished future: keep what it did
+                    # finish, and fail the run instead of waiting forever
+                    for later_cell, later in zip(cells[index:], futures[index:]):
+                        if later.exception() is None:
+                            self._finish(later_cell, later.result())
+                    raise BrokenProcessPool(
+                        "a worker process died before cell %s finished" % cell.key
+                    ) from exc
                 self._note(index, total, cell, "ran", time.time() - started)
                 self._finish(cell, result)
+        finally:
+            # a failing cell must not wait for the cells queued behind it
+            pool.shutdown(cancel_futures=True)
 
     def _finish(self, cell: Cell, result: object) -> None:
         self._memo[cell] = result

@@ -3,10 +3,11 @@
 The performance pass (see docs/performance.md) keeps every optimised
 hot path next to its original *reference* implementation: components
 capture the switch at construction time and choose one or the other.
-The differential equivalence suite (tests/test_perf_equivalence.py) and
-the ``rolp-bench perf`` kernels run both backends against each other
-and assert byte-identical behaviour, so the fast paths can default to
-on without moving any rendered figure or table.
+The differential equivalence suite (tests/test_perf_equivalence.py)
+runs both backends against each other, over rendered artifacts and
+four hot-path kernels whose fingerprints are pinned to a golden, and
+asserts byte-identical behaviour, so the fast paths can default to on
+without moving any rendered figure or table.
 
 Two backends exist:
 
@@ -55,8 +56,8 @@ def backend() -> str:
 def set_backend(name: str) -> str:
     """Set the process-wide backend; returns the previous value.
 
-    Tests and the perf kernels toggle this around VM construction to run
-    the backends against each other.
+    Tests toggle this around VM construction to run the backends
+    against each other.
     """
     if name not in BACKENDS:
         raise ValueError("unknown backend %r (expected one of %s)" % (name, BACKENDS))

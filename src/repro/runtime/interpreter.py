@@ -155,7 +155,7 @@ class FastExecutionContext(ExecutionContext):
     and clock charges of the reference implementation; every observable
     effect (clock advances, RNG draws, counters, stack-state
     transitions, exception semantics) is event-for-event identical — the
-    differential perf kernels and the equivalence suite pin this.
+    equivalence suite's hot-path kernels and artifacts pin this.
 
     Four rules keep it so (docs/performance.md, *Hot-path rules*): each
     clock charge is truncated on its own, as

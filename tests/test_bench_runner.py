@@ -4,15 +4,20 @@ pool — all exercised through a cheap test-only cell kind."""
 
 import asyncio
 import hashlib
+import json
+import multiprocessing
 import os
 import pickle
 import struct
+import subprocess
+import sys
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro
 from repro.bench import artifacts
 from repro.bench import runner as runner_mod
 from repro.bench.runner import (
@@ -491,6 +496,70 @@ class TestPool:
         warm.run(cells)
         assert warm.stats.cache_hits == 2
         assert warm.stats.simulations == 0
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the dying cell kind is registered in the child's __main__",
+    )
+    def test_dead_worker_fails_the_run_instead_of_hanging(self, tmp_path):
+        # in a child process with a deadline: a pool that waits forever
+        # for the dead worker's result must fail this test, not hang it
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        child = subprocess.run(
+            [sys.executable, "-c", _WORKER_DEATH_SCRIPT, str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert child.returncode == 0, child.stderr
+        outcome = json.loads(child.stdout)
+        assert outcome["error"] == "BrokenProcessPool"
+        assert "before cell worker_death_test(die=True, index=1) finished" in (
+            outcome["message"]
+        )
+        # the cells that finished before the death, one of them after the
+        # dead cell in submission order, keep their memo and cache
+        # entries; the dead one has neither
+        assert outcome["held"] == [True, False, True, True]
+        assert outcome["cached"] == [True, False, True, True]
+
+
+#: four cells on two workers; cell 1 SIGKILLs its own worker once the
+#: other three have returned (each touches a marker file first) and had
+#: ample time to send their results; prints what the run left
+_WORKER_DEATH_SCRIPT = """
+import json, os, signal, sys, time
+from repro.bench.runner import ResultCache, Runner, cell_kind, make_cell
+
+def marker(index):
+    return os.path.join(sys.argv[1], "returned-%d" % index)
+
+@cell_kind("worker_death_test")
+def _cell(seed, telemetry, index, die):
+    if die:
+        deadline = time.time() + 10
+        while time.time() < deadline and not all(
+            os.path.exists(marker(i)) for i in (0, 2, 3)
+        ):
+            time.sleep(0.01)
+        time.sleep(0.5)
+        os.kill(os.getpid(), signal.SIGKILL)
+    open(marker(index), "w").close()
+    return index
+
+cache = ResultCache(os.path.join(sys.argv[1], "cache"))
+runner = Runner(jobs=2, cache=cache)
+cells = [make_cell("worker_death_test", index=i, die=i == 1) for i in range(4)]
+try:
+    runner.run(cells)
+    outcome = {"error": None, "message": ""}
+except Exception as exc:
+    outcome = {"error": type(exc).__name__, "message": str(exc)}
+outcome["held"] = [runner.holds(cell) for cell in cells]
+outcome["cached"] = [cache.load(cell, runner.seed_for(cell))[0] for cell in cells]
+print(json.dumps(outcome))
+"""
 
 
 class TestTelemetryAndHelpers:

@@ -43,6 +43,23 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    def test_perf_is_not_an_experiment(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["perf"])
+        assert err.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--request-timeout", "--idle-timeout"])
+    def test_negative_serve_timeout_is_a_usage_error(self, flag, capsys):
+        # a negative deadline would answer every queued job 504 while it
+        # still runs; a negative idle timeout would reap busy sessions
+        with pytest.raises(SystemExit) as err:
+            main(["serve", flag, "-1"])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "usage: rolp-bench" in stderr
+        assert "%s: must be at least 0 seconds" % flag in stderr
+
 
 class TestUnknownNames:
     def test_unknown_benchmark_exits_2_with_choices(self, capsys):

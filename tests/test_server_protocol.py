@@ -14,7 +14,8 @@ import json
 
 import pytest
 
-from repro.bench.runner import Runner, make_cell
+from repro.bench import runner as runner_mod
+from repro.bench.runner import Runner, cell_implementation, make_cell
 from repro.server import protocol
 from repro.server.app import ServerApp
 from repro.server.batcher import JobBatcher, ServerStopping
@@ -436,8 +437,9 @@ class TestErrorEnvelopes:
                 400,
                 "invalid-params",
             )
-            # a wall-clock timing is no pure function of (cell, base
-            # seed), so the perf kernels are not a job kind
+            # the hot-path kernels are test fixtures
+            # (tests/test_perf_equivalence.py), not cells: the kind they
+            # once ran under is no job kind
             perf_params = {"kernel": "alloc", "ops": 2000, "backend": "reference", "repeat": 1}
             check_error(
                 await client.post(
@@ -510,6 +512,46 @@ class TestErrorEnvelopes:
             app.batcher.resume()
             for task in accepted:
                 check(await task, 200, "job")  # accepted jobs never dropped
+            await app.shutdown()
+
+        run(scenario())
+
+    def test_failing_cell_is_500_and_booked_as_failed(self, monkeypatch):
+        real = cell_implementation("trace_run")
+
+        def trace_run(seed, telemetry, workload, collector, operations):
+            if operations == OPS + 1:
+                raise RuntimeError("planted cell failure")
+            return real(
+                seed=seed,
+                telemetry=telemetry,
+                workload=workload,
+                collector=collector,
+                operations=operations,
+            )
+
+        monkeypatch.setitem(runner_mod._CELL_KINDS, "trace_run", trace_run)
+
+        async def scenario():
+            app = make_app()
+            client = await started(app)
+            doomed = (
+                await client.post("/v1/sessions", {"operations": OPS + 1})
+            ).json()["session"]["id"]
+            body = check_error(
+                await client.post("/v1/sessions/%s/run" % doomed), 500, "internal-error"
+            )
+            assert "planted cell failure" in body["error"]["detail"]
+            books = check(await client.get("/metrics"), 200, "metrics")["batcher"]
+            assert books["failed"] == 1
+            assert books["accepted"] == (
+                books["completed"] + books["failed"] + books["abandoned"]
+            )
+            # the failed batch does not stop the app serving
+            sid = (await client.post("/v1/sessions", {"operations": OPS})).json()[
+                "session"
+            ]["id"]
+            check(await client.post("/v1/sessions/%s/run" % sid), 200, "job")
             await app.shutdown()
 
         run(scenario())
